@@ -114,6 +114,8 @@ def cmd_solve(args) -> int:
         print(f"tau {_fmt(float(out.tau))}")
     if out.stats is not None:
         print(f"w_prob {_fmt(out.stats.w_prob)}")
+    for tau, message in out.skipped_taus:
+        print(f"skipped_tau {_fmt(tau)} {message}")
     print(f"wall_time {elapsed:.6f}")
     return 0
 

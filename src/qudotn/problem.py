@@ -7,7 +7,10 @@ the tensor map of T-QUDO).
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,22 +52,28 @@ class Problem:
         if self.kind == "tqudo":
             if self.quad or self.lin:
                 raise ValueError("tqudo stores coefficients in qhat only")
-            for (i, j, a, b) in self.qhat:
-                self._check_pair(i, j)
-                if not (0 <= a < self.d and 0 <= b < self.d):
-                    raise ValueError(f"value index out of range in qhat key {(i, j, a, b)}")
+            self._check_pairs(self.qhat)
+            if self.qhat:
+                _, _, a, b = zip(*self.qhat)
+                if not (0 <= min(a + b) and max(a + b) < self.d):
+                    bad = next(key for key in self.qhat
+                               if not (0 <= key[2] < self.d and 0 <= key[3] < self.d))
+                    raise ValueError(f"value index out of range in qhat key {bad}")
         else:
             if self.qhat:
                 raise ValueError(f"{self.kind} does not use qhat")
-            for (i, j) in self.quad:
-                self._check_pair(i, j)
-            for i in self.lin:
-                if not 0 <= i < self.n:
-                    raise ValueError(f"lin index {i} out of range")
+            self._check_pairs(self.quad)
+            if self.lin and not (0 <= min(self.lin) and max(self.lin) < self.n):
+                bad = next(i for i in self.lin if not 0 <= i < self.n)
+                raise ValueError(f"lin index {bad} out of range")
 
-    def _check_pair(self, i, j):
-        if not (0 <= i <= j < self.n):
-            raise ValueError(f"coefficient pair ({i}, {j}) violates 0 <= i <= j < n")
+    def _check_pairs(self, keys):
+        if not keys:
+            return
+        i, j = list(zip(*keys))[:2]
+        if not (0 <= min(i) and max(j) < self.n and all(map(operator.le, i, j))):
+            bad = next(key[:2] for key in keys if not 0 <= key[0] <= key[1] < self.n)
+            raise ValueError(f"coefficient pair {bad} violates 0 <= i <= j < n")
 
     @property
     def bandwidth(self) -> int:
@@ -244,10 +253,18 @@ def serialize_instance(p: Problem) -> str:
     return json.dumps(doc)
 
 
+def _reject_constant(name: str):
+    raise InstanceFormatError(f"non-finite coefficient {name}")
+
+
 def parse_instance(text: str) -> Problem:
-    """Parse an instance document, rejecting malformed or duplicate entries."""
+    """Parse an instance document, rejecting malformed or duplicate entries.
+
+    Indices must be JSON integers and coefficients finite numbers; NaN,
+    Infinity and literals that overflow to infinity are rejected.
+    """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -262,14 +279,34 @@ def parse_instance(text: str) -> Problem:
         raise InstanceFormatError(f"unknown kind {kind!r}")
 
     def load_entries(name, arity):
-        entries = {}
-        for row in doc.get(name, []):
-            if not isinstance(row, list) or len(row) != arity + 1:
-                raise InstanceFormatError(f"malformed {name} entry {row!r}")
-            key = tuple(int(v) for v in row[:arity])
-            if key in entries:
-                raise InstanceFormatError(f"duplicate {name} entry for {key}")
-            entries[key] = float(row[arity])
+        rows = doc.get(name, [])
+        if type(rows) is not list:
+            raise InstanceFormatError(f"{name} must be a list of entries")
+        if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {arity + 1}):
+            bad = next(r for r in rows if type(r) is not list or len(r) != arity + 1)
+            raise InstanceFormatError(f"malformed {name} entry {bad!r}")
+        columns = list(zip(*rows)) or [()] * (arity + 1)
+        # bool is a subclass of int, so types are compared exactly
+        if not set(map(type, itertools.chain.from_iterable(columns[:arity]))) <= {int}:
+            bad = next(r for r in rows if not all(type(v) is int for v in r[:arity]))
+            raise InstanceFormatError(f"non-integer index in {name} entry {bad!r}")
+        if not set(map(type, columns[arity])) <= {int, float}:
+            bad = next(r for r in rows if type(r[arity]) not in (int, float))
+            raise InstanceFormatError(f"non-numeric value in {name} entry {bad!r}")
+        try:
+            values = list(map(float, columns[arity]))
+        except OverflowError as exc:  # an integer literal beyond float range
+            raise InstanceFormatError(f"coefficient out of range in {name}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise InstanceFormatError(f"non-finite coefficient in {name}")
+        keys = list(zip(*columns[:arity]))
+        entries = dict(zip(keys, values))
+        if len(entries) != len(keys):
+            seen = set()
+            for key in keys:
+                if key in seen:
+                    raise InstanceFormatError(f"duplicate {name} entry for {key}")
+                seen.add(key)
         return entries
 
     quad = load_entries("q", 2)

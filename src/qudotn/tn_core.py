@@ -48,6 +48,12 @@ class SolverConfig:
             if not (0 < lo < hi and count >= 1):
                 raise ValueError("tau_grid needs 0 < min < max and count >= 1")
 
+    def taus(self) -> np.ndarray:
+        """The tau values a solve covers: the grid when set, else tau alone."""
+        if self.tau_grid is None:
+            return np.array([float(self.tau)])
+        return tau_grid_values(self.tau_grid)
+
 
 def tau_grid_values(grid) -> np.ndarray:
     """Geometric tau grid for best-of sweeps."""
@@ -55,6 +61,25 @@ def tau_grid_values(grid) -> np.ndarray:
     if count == 1:
         return np.array([float(lo)])
     return np.geomspace(lo, hi, int(count))
+
+
+def pick_best(taus, costs, faults):
+    """The best-of rule of every tau grid: the lowest cost wins and ties keep
+    the first, i.e. the smallest, tau.
+
+    costs[i] is ignored where grid point i faulted with message faults[i]
+    (None when it did not).  Returns the winner's index and the (tau,
+    message) pairs of the faulted points; raises the last fault when every
+    point faulted.
+    """
+    skipped = [(float(tau), msg) for tau, msg in zip(taus, faults) if msg is not None]
+    best = None
+    for i, (cost, msg) in enumerate(zip(costs, faults)):
+        if msg is None and (best is None or cost < costs[best]):
+            best = i
+    if best is None:
+        raise NumericFaultError(skipped[-1][1] if skipped else "every tau grid point faulted")
+    return best, skipped
 
 
 @dataclass
@@ -147,14 +172,20 @@ def last_row_cross_node(p: Problem, m: int, tau: float) -> np.ndarray:
 # Extraction
 
 
-def argmax_extract(v) -> int:
-    """Index of the maximum entry; ties resolve to the lowest index."""
+def argmax_extract(v):
+    """Index of the maximum entry; ties resolve to the lowest index.
+
+    A stack of vectors (leading axes, e.g. one per tau grid point) gives an
+    integer array of their indices.
+    """
     arr = _entries(v)
     if arr.size == 0:
         raise ValueError("empty marginal vector")
     if np.isnan(arr).any():
         raise NumericFaultError("NaN entry in marginal vector")
-    return int(np.argmax(arr))
+    if arr.ndim == 1:
+        return int(np.argmax(arr))
+    return np.argmax(arr, axis=-1)
 
 
 def bit_extract(v, j: int) -> int:
@@ -175,16 +206,24 @@ def bit_extract(v, j: int) -> int:
     return 1 if omega > 0 else 0
 
 
-def normalize(v):
+def normalize(v, axis=None):
     """Divide by the maximum entry; extraction results are unchanged.
 
-    Raises a numeric fault for all-zero or non-finite input, which is how
-    solvers surface underflow/overflow instead of silently degrading.
+    With an axis, each slice along it is divided by its own maximum (a stack
+    of messages, one per tau grid point).  Raises a numeric fault for an
+    all-zero or non-finite slice, which is how solvers surface
+    underflow/overflow instead of silently degrading.
     """
     arr = _entries(v)
-    peak = float(arr.max()) if arr.size else float("nan")
-    if not math.isfinite(peak):
+    if arr.size == 0:
         raise NumericFaultError("non-finite entries during normalization")
-    if peak <= 0.0:
+    peak = arr.max(axis=axis, keepdims=True)
+    if peak.size == 1:
+        low = high = peak.item()
+    else:
+        low, high = peak.min().item(), peak.max().item()
+    if not (0.0 < low and high < math.inf):
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise NumericFaultError("non-finite entries during normalization")
         raise NumericFaultError("underflow: all entries vanished during normalization")
     return arr / peak, True

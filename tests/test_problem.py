@@ -145,6 +145,39 @@ class TestSerialization:
         with pytest.raises(InstanceFormatError):
             parse_instance("not json at all {")
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
+                                         "-1e400", "1" + "0" * 400])
+    def test_non_finite_coefficient_rejected(self, literal):
+        text = '{"kind": "qudo", "n": 3, "d": 2, "q": [[0, 1, %s]]}' % literal
+        with pytest.raises(InstanceFormatError):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("row", ["[0, 1.7, 1.0]", "[0, 1.0, 1.0]", "[true, 1, 1.0]",
+                                     '["0", 1, 1.0]', "[0, null, 1.0]"])
+    def test_non_integer_index_rejected(self, row):
+        text = '{"kind": "qudo", "n": 3, "d": 2, "q": [%s]}' % row
+        with pytest.raises(InstanceFormatError):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("doc", [
+        '"qhat": [[0, 1, 0, 1.5, 1.0]]',   # tensor value index
+        '"lin": [[false, 1.0]]',
+        '"q": [[0, 1, "1.0"]]',             # value must be a number
+        '"q": [[0, 1, null]]',
+        '"q": {"0": 1}',                    # entries must be a list
+        '"q": [[0, 1]]',
+    ])
+    def test_malformed_entries_rejected(self, doc):
+        kind = "tqudo" if "qhat" in doc else "qudo"
+        text = '{"kind": "%s", "n": 3, "d": 2, %s}' % (kind, doc)
+        with pytest.raises(InstanceFormatError):
+            parse_instance(text)
+
+    def test_integer_valued_coefficients_accepted(self):
+        p = parse_instance('{"kind": "qudo", "n": 2, "d": 3, "q": [[0, 1, 2]], '
+                           '"lin": [[1, -1]]}')
+        assert p.quad == {(0, 1): 2.0} and p.lin == {1: -1.0}
+
     def test_full_precision_round_trip(self):
         p = Problem(kind="qudo", n=2, d=2, quad={(0, 1): 0.1 + 0.2})
         q = parse_instance(serialize_instance(p))
