@@ -6,8 +6,9 @@ from .chain_solver import (ChainSolveResult, MessageState, backward_pass_matrix,
 from .dense_solver import (StairNetwork, build_stair, contract_marginal,
                            solve_dense)
 from .driver import METHODS, SolveOutcome, solve_instance
-from .errors import (CapacityError, InstanceFormatError, InvalidAssignmentError,
-                     NotAChainError, NumericFaultError, QudotnError)
+from .errors import (CapacityError, ConfigError, InstanceFormatError,
+                     InvalidAssignmentError, NotAChainError, NumericFaultError,
+                     QudotnError)
 from .oracle import OracleResult, brute_force, direct_marginal
 from .problem import (ChainProblem, Problem, chain_view, evaluate_cost,
                       parse_instance, random_instance, serialize_instance,

@@ -1,42 +1,34 @@
 """k-neighbor linear-chain solvers.
 
-Two routes contract the same banded stair network:
-
-* the matrix method works on flat message vectors over the d**k states of the
-  next k undetermined variables, applying the sparse transfer rule through
-  integer digit arithmetic (state t = sum_j d**j * value_j);
-* the tensor method works on shaped boundary tensors with one axis per open
-  variable, absorbing the row nodes one by one.
+The matrix and the tensor method contract the same banded stair network with
+one kernel: flat message vectors over the d**k states of the next k
+undetermined variables, applying the sparse transfer rule through integer
+digit arithmetic (state t = sum_j d**j * value_j).  The tensor method's
+boundary tensors are these messages, reshaped (see solve_tensor).
 
 Backward messages run from the last variable toward the first; variables are
-then determined first-to-last.  Both routes share the factor tables and the
-lowest-index tie-break, so they must return identical assignments.
+then determined first-to-last, ties going to the lowest index.
 
-The flat route solves a whole tau grid in one pass: factor tables built from
-an array of G tau values carry a leading grid axis, and every kernel below
-then advances all G points with one numpy call per row.  A single tau is the
-G = 1 case.  Each point's arithmetic is the same as in a solve of that point
-alone, so its result is too.  A scalar tau gives the tables without the grid
-axis, as the tensor route and the per-row helpers use them.
+One pass solves a whole tau grid: factor tables built from an array of G tau
+values carry a leading grid axis, and every kernel below then advances all G
+points with one numpy call per row.  A single tau is the G = 1 case.  Each
+point's arithmetic is the same as in a solve of that point alone, so its
+result is too.  A scalar tau gives the tables without the grid axis, as the
+dense solver and the per-row helpers use them.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, NumericFaultError
+from .errors import CapacityError, NumericFaultError, env_cap
 from .problem import ChainProblem, chain_cost, evaluate_cost
 from .tn_core import (MarginalVector, SolverConfig, argmax_extract, normalize,
                       pick_best)
 
 DEFAULT_CHAIN_CAP = 1 << 20  # max d**k message entries
-
-
-def chain_cap() -> int:
-    return int(os.environ.get("QUDOTN_CHAIN_CAP", DEFAULT_CHAIN_CAP))
 
 
 def result_cost(chain: ChainProblem, assignment) -> float:
@@ -56,14 +48,28 @@ class ChainFactors:
     multi-factor products can be summed in exponent space and
     exponentiated once instead of multiplied into the underflow region.
     An array of G taus gives every table a leading axis of length G.
+
+    A tau at which tau * cost leaves float range is a numeric fault: raised
+    for a scalar tau, else recorded in faults for that grid point, whose
+    tables then hold unit factors so that the other points go on.
     """
 
-    def __init__(self, chain: ChainProblem, tau):
+    def __init__(self, chain: ChainProblem, tau, faults: GridFaults | None = None):
         self.taus = np.asarray(tau, dtype=float)
-        # tau > 0 and rounding is monotone, so tau * min(cost) is exactly
-        # the minimum of the scaled costs: the reductions run once per chain
-        # instead of once per grid point
-        t = self.taus[..., None, None]
+        # tau > 0 and rounding is monotone, so tau * max|cost| bounds every
+        # scaled cost and tau * min(cost) is exactly the minimum of the scaled
+        # costs: the reductions run once per chain instead of once per point
+        peak = max(np.abs(chain.diag_cost).max(), np.abs(chain.cross_cost).max())
+        with np.errstate(over="ignore"):
+            over = ~np.isfinite(self.taus * peak)
+        taus = self.taus
+        if over.any():
+            message = f"overflow: tau * cost leaves float range (|cost| up to {peak:.3g})"
+            if faults is None:
+                raise NumericFaultError(message)
+            faults.flag(over, message)
+            taus = np.where(over, 0.0, taus)
+        t = taus[..., None, None]
         self.sc = t * chain.diag_cost
         self.sc -= t * chain.diag_cost.min(axis=-1, keepdims=True)
         self.sv = np.exp(-self.sc)
@@ -165,17 +171,21 @@ class MessageState:
     d: int
 
 
-def _check_chain_capacity(chain: ChainProblem):
-    if chain.d ** chain.k > chain_cap():
+def _check_chain_capacity(chain: ChainProblem) -> int:
+    """The chain cap; raises when a message of d**k entries exceeds it."""
+    cap = env_cap("QUDOTN_CHAIN_CAP", DEFAULT_CHAIN_CAP)
+    if chain.d ** chain.k > cap:
         raise CapacityError(
-            f"message size d^k = {chain.d ** chain.k} exceeds chain cap {chain_cap()}"
-        )
+            f"message size d^k = {chain.d ** chain.k} exceeds chain cap {cap}")
+    return cap
 
 
-def _transfer_flat(msg: MessageState, m: int, fac: ChainFactors,
-                   chain: ChainProblem, do_norm: bool,
+def _transfer_flat(msg: MessageState | None, m: int, fac: ChainFactors,
+                   chain: ChainProblem,
                    faults: GridFaults | None = None) -> MessageState:
-    """One sparse transfer step: message with origin m+1 -> origin m.
+    """One sparse transfer step: message with origin m+1 -> origin m, scaled
+    to a largest entry of 1.  Without a message, m is the last variable and
+    its message is its local factor.
 
     Each new state prepends a value z for variable m; the weight multiplies
     the local factor of m and its crosses into the state variables.  When the
@@ -183,6 +193,8 @@ def _transfer_flat(msg: MessageState, m: int, fac: ChainFactors,
     plus the d**k target states is the d**(k+1)-operation sparse rule.
     """
     d, k, n = chain.d, chain.k, chain.n
+    if msg is None:
+        return MessageState(_normalize_msg(fac.sv[..., m, :], m, faults), m, 1, d)
     L = msg.length
     digs = _digits(d, L)
     expo = fac.sc[..., m, :, None]  # (d, 1), broadcast over the states
@@ -196,9 +208,7 @@ def _transfer_flat(msg: MessageState, m: int, fac: ChainFactors,
     else:
         new_len = L + 1
     new = np.swapaxes(w, -1, -2).reshape(w.shape[:-2] + (-1,))
-    if do_norm:
-        new = _normalize_msg(new, m, faults)
-    return MessageState(entries=new, origin=m, length=new_len, d=d)
+    return MessageState(_normalize_msg(new, m, faults), m, new_len, d)
 
 
 def _normalize_msg(arr: np.ndarray, row: int, faults: GridFaults | None = None,
@@ -230,33 +240,18 @@ def _argmax(vec: np.ndarray, faults: GridFaults | None = None):
 
 def backward_pass_matrix(chain: ChainProblem, cfg: SolverConfig,
                          fac: ChainFactors | None = None,
-                         faults: GridFaults | None = None,
-                         dense_operator: bool = False) -> list:
+                         faults: GridFaults | None = None) -> list:
     """Messages B_{n-1}, ..., B_1, all retained for reuse.
 
     B_m sums, over every variable past the state window, the product of all
-    factors whose lowest variable is >= m.  dense_operator applies the
-    materialized transfer matrix on interior rows instead of the sparse rule.
+    factors whose lowest variable is >= m, scaled to a largest entry of 1.
     """
     _check_chain_capacity(chain)
     fac = fac or ChainFactors(chain, cfg.tau)
-    d, k, n = chain.d, chain.k, chain.n
-    msg = MessageState(entries=fac.sv[..., n - 1, :].copy(), origin=n - 1,
-                       length=1, d=d)
-    if cfg.normalize:
-        msg.entries = _normalize_msg(msg.entries, n - 1, faults)
+    msg = _transfer_flat(None, chain.n - 1, fac, chain, faults)
     out = [msg]
-    for m in range(n - 2, 0, -1):
-        if dense_operator and msg.length == k and m + k <= n - 1:
-            taus = fac.taus.reshape(-1)
-            rows = msg.entries.reshape(len(taus), -1)
-            new = np.stack([transfer_operator_dense(chain, m, tau) @ row
-                            for tau, row in zip(taus, rows)]).reshape(msg.entries.shape)
-            if cfg.normalize:
-                new = _normalize_msg(new, m, faults)
-            msg = MessageState(entries=new, origin=m, length=k, d=d)
-        else:
-            msg = _transfer_flat(msg, m, fac, chain, cfg.normalize, faults)
+    for m in range(chain.n - 2, 0, -1):
+        msg = _transfer_flat(msg, m, fac, chain, faults)
         out.append(msg)
     return out
 
@@ -266,8 +261,7 @@ def transfer_operator_dense(chain: ChainProblem, m: int, tau: float) -> np.ndarr
 
     Row index encodes (z, a_1..a_{k-1}), column index (a_1..a_k); an entry is
     nonzero only when the shared k-1 values agree, giving exactly d**(k+1)
-    structural nonzeros.  Used for sparsity checks and the dense benchmark
-    mode.
+    structural nonzeros.  Used for the sparsity checks.
     """
     d, k, n = chain.d, chain.k, chain.n
     if not (1 <= m and m + k <= n - 1):
@@ -356,16 +350,15 @@ class ChainSolveResult:
 def solve_grid(chain: ChainProblem, cfg: SolverConfig, solve_batch):
     """Solve every tau of cfg (its grid, or tau alone) and keep the best point.
 
-    The taus go to solve_batch in batches of at most chain_cap() // d**k
+    The taus go to solve_batch in batches of at most (chain cap) // d**k
     points, so that one batched message holds no more entries than the chain
     cap allows.  solve_batch(taus) returns the (G, n) assignments, the fault
     message of each point (None when it solved) and finish(g, cost), which
     builds the result of point g.  The result carries the winning tau and the
     (tau, message) pairs of the faulted points.
     """
-    _check_chain_capacity(chain)
     taus = cfg.taus()
-    size = max(1, chain_cap() // chain.d ** chain.k)
+    size = max(1, _check_chain_capacity(chain) // chain.d ** chain.k)
     points, costs, faults = [], [], []
     known: dict = {}  # grid points often agree, so cost each assignment once
     for start in range(0, len(taus), size):
@@ -388,27 +381,22 @@ def solve_grid(chain: ChainProblem, cfg: SolverConfig, solve_batch):
     return res
 
 
-def solve_matrix(chain: ChainProblem, cfg: SolverConfig, *,
-                 dense_operator: bool = False) -> ChainSolveResult:
+def solve_matrix(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:
     """Transfer-matrix solve: one backward pass, then per-variable argmax.
 
     With cfg.tau_grid set, one pass serves the whole grid and the best point
-    wins (see solve_grid).  dense_operator=True applies the materialized
-    d**k x d**k matrix on interior rows instead of the sparse rule; results
-    must be identical up to rounding and the mode exists for benchmarking the
-    dense-format claims.
+    wins (see solve_grid).
     """
     def solve_batch(taus):
-        fac = ChainFactors(chain, taus)
         faults = GridFaults(len(taus))
-        msgs = backward_pass_matrix(chain, cfg, fac, faults, dense_operator)
+        fac = ChainFactors(chain, taus, faults)
+        msgs = backward_pass_matrix(chain, cfg, fac, faults)
         by_origin = {msg.origin: msg for msg in msgs}
         x = np.zeros((len(taus), chain.n), dtype=np.intp)
         margs = []
         for m in range(chain.n):
             vec = marginal_matrix(chain, fac, m, by_origin.get(m + 1), x, faults)
-            if cfg.normalize:
-                vec = _normalize_msg(vec, m, faults)
+            vec = _normalize_msg(vec, m, faults)
             margs.append(vec)
             x[:, m] = _argmax(vec, faults)
         held = len(msgs)
@@ -416,16 +404,24 @@ def solve_matrix(chain: ChainProblem, cfg: SolverConfig, *,
         def finish(g, cost):
             return ChainSolveResult(
                 assignment=x[g].tolist(), cost=cost,
-                marginals=[MarginalVector(entries=v[g], scale_dropped=cfg.normalize)
-                           for v in margs],
+                marginals=[MarginalVector(entries=v[g]) for v in margs],
                 messages_held=held)
         return x, faults.messages, finish
 
     return solve_grid(chain, cfg, solve_batch)
 
 
-# ---------------------------------------------------------------------------
-# Tensor (4-index) method
+def solve_tensor(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:
+    """Stair-tensor solve: the chain's 4-order tensor network, contracted row
+    by row with one open index per state variable.
+
+    Its boundary tensor after absorbing rows n-1..m, with axis j for variable
+    m+j, is the flat message B_m with its last axis reshaped to (d,)*L in
+    Fortran order,
+    so the contraction is solve_matrix's batched pass and the result is
+    solve_matrix's, bit for bit, tau grids included.
+    """
+    return solve_matrix(chain, cfg)
 
 
 def build_chain_stair(chain: ChainProblem, cfg: SolverConfig):
@@ -435,89 +431,3 @@ def build_chain_stair(chain: ChainProblem, cfg: SolverConfig):
     p = chain.problem
     return StairNetwork(problem=p, cfg=cfg,
                         rows=_stair_rows(chain.n, chain.k), band_k=chain.k)
-
-
-def _transfer_shaped(bound: np.ndarray | None, m: int, fac: ChainFactors,
-                     chain: ChainProblem, do_norm: bool) -> np.ndarray:
-    """Absorb row m into the shaped boundary tensor (axis j = variable m+j).
-
-    The row's nodes are applied one at a time: the fused local node adds the
-    new axis, each cross node multiplies along its pair of axes, and the
-    furthest cross contracts the departing axis.
-    """
-    d, k, n = chain.d, chain.k, chain.n
-    if bound is None:
-        out = fac.sv[m].copy()
-    else:
-        prev = bound.ndim
-        expo = np.zeros((d,) + bound.shape)
-        expo += fac.sc[m].reshape((d,) + (1,) * prev)
-        full = prev == k and m + k <= n - 1
-        for j in range(1, prev + 1):
-            view = fac.cc[m, j - 1].reshape((d,) + (1,) * (j - 1) + (d,) + (1,) * (prev - j))
-            expo = expo + view
-        out = _stable_weights(expo, bound[None, ...])
-        if full:
-            out = out.sum(axis=-1)  # contract the departing variable m+k
-    if do_norm:
-        out = _normalize_msg(out, m, axis=None)
-    return out
-
-
-def _marginal_shaped(chain: ChainProblem, fac: ChainFactors, m: int,
-                     bound: np.ndarray | None, prefix) -> np.ndarray:
-    """Conditional marginal of variable m from the shaped boundary above it."""
-    d, k = chain.d, chain.k
-    if bound is None:
-        expo = fac.sc[m].copy()
-        for j in range(1, min(k, m) + 1):
-            expo = expo + fac.cc[m - j, j - 1][prefix[m - j], :]
-        return _stable_weights(expo, np.ones(d))
-    L = bound.ndim
-    expo = np.zeros((d,) + bound.shape)
-    expo += fac.sc[m].reshape((d,) + (1,) * L)
-    for j in range(1, L + 1):
-        view = fac.cc[m, j - 1].reshape((d,) + (1,) * (j - 1) + (d,) + (1,) * (L - j))
-        expo = expo + view
-    for i in range(1, L + 1):  # fixed crosses skipping over m
-        for j in range(i + 1, k + 1):
-            l = m + i - j
-            if 0 <= l <= m - 1:
-                vec = fac.cc[l, j - 1][prefix[l], :]
-                expo = expo + vec.reshape((1,) * i + (d,) + (1,) * (L - i))
-    for j in range(1, min(k, m) + 1):
-        vec = fac.cc[m - j, j - 1][prefix[m - j], :]
-        expo = expo + vec.reshape((d,) + (1,) * L)
-    out = _stable_weights(expo, bound[None, ...])
-    return out.sum(axis=tuple(range(1, L + 1)))
-
-
-def solve_tensor(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:
-    """Stair-tensor solve: shaped boundary with up to k open indices.
-
-    Shares tie-break and factor tables with solve_matrix and must return the
-    same assignment on every instance.
-    """
-    _check_chain_capacity(chain)
-    build_chain_stair(chain, cfg)  # capacity + structure validation
-    fac = ChainFactors(chain, cfg.tau)
-    n = chain.n
-    bounds: dict = {}
-    bound = _transfer_shaped(None, n - 1, fac, chain, cfg.normalize)
-    bounds[n - 1] = bound
-    for m in range(n - 2, 0, -1):
-        bound = _transfer_shaped(bound, m, fac, chain, cfg.normalize)
-        bounds[m] = bound
-    assignment: list = []
-    marginals = []
-    for m in range(n):
-        above = bounds.get(m + 1)
-        vec = _marginal_shaped(chain, fac, m, above, assignment)
-        if cfg.normalize:
-            vec = _normalize_msg(vec, m)
-        marginals.append(MarginalVector(entries=vec, scale_dropped=cfg.normalize))
-        assignment.append(argmax_extract(vec))
-    return ChainSolveResult(assignment=assignment,
-                            cost=result_cost(chain, assignment),
-                            marginals=marginals,
-                            messages_held=len(bounds))

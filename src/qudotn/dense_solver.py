@@ -1,32 +1,26 @@
 """Dense stair-network solver for general (all-pairs) coupling.
 
 The network is contracted row by row from the bottom (last variable) upward;
-each row is absorbed right to left.  Intermediate boundary tensors from the
-first determination are kept and reused for the remaining variables, so the
-whole solve costs a single full contraction.
-
-Two contraction routes exist: the default exploits the structural nonzero
-patterns of the nodes (diagonal value transmission), while dense_nodes=True
-materializes the full node tensors and contracts them with einsum.  Both must
-agree to floating-point accuracy; the dense route exists to check that claim
-and for benchmarking.
+each row is absorbed right to left, exploiting the structural nonzero
+patterns of the nodes (diagonal value transmission).  Intermediate boundary
+tensors from the first determination are kept and reused for the remaining
+variables, so the whole solve costs a single full contraction.  The factor
+tables are the chain solvers', for the chain view at k = n - 1.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, NumericFaultError
-from .problem import Problem, evaluate_cost
-from .tn_core import MarginalVector, SolverConfig, argmax_extract, cross_cost, normalize, self_cost
+from .chain_solver import ChainFactors, _normalize_msg
+from .errors import CapacityError, env_cap
+from .problem import Problem, chain_view, evaluate_cost
+from .tn_core import MarginalVector, SolverConfig, argmax_extract
+# unused here; still bound because the benchmark's layer probes rebind them
+from .tn_core import cross_cost, normalize, self_cost  # noqa: F401
 
 DEFAULT_DENSE_CAP = 32768  # max boundary-tensor elements, d**(n-1)
-
-
-def dense_cap() -> int:
-    return int(os.environ.get("QUDOTN_DENSE_CAP", DEFAULT_DENSE_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +87,7 @@ def build_stair(p: Problem, cfg: SolverConfig) -> StairNetwork:
 
 
 def _check_capacity(p: Problem):
-    cap = dense_cap()
+    cap = env_cap("QUDOTN_DENSE_CAP", DEFAULT_DENSE_CAP)
     if p.d ** (p.n - 1) > cap:
         raise CapacityError(
             f"dense contraction needs d^(n-1) = {p.d ** (p.n - 1)} boundary "
@@ -101,108 +95,48 @@ def _check_capacity(p: Problem):
         )
 
 
-# ---------------------------------------------------------------------------
-# Factor tables
-
-class _Tables:
-    """Per-(problem, tau) factor tables.
-
-    Each factor is rescaled by its own maximum (a positive per-row constant)
-    so that large tau cannot overflow; marginals are only defined up to scale.
-    """
-
-    def __init__(self, p: Problem, tau: float):
-        n, d = p.n, p.d
-        diag = np.empty((n, d))
-        for l in range(n):
-            for a in range(d):
-                diag[l, a] = self_cost(p, l, a)
-        diag = tau * diag
-        diag -= diag.min(axis=1, keepdims=True)
-        self.selfw = np.exp(-diag)
-        self.crossw = {}
-        for m in range(1, n):
-            for l in range(m):
-                c = np.empty((d, d))
-                for a in range(d):
-                    for b in range(d):
-                        c[a, b] = cross_cost(p, l, m, a, b)
-                c = tau * c
-                c -= c.min()
-                self.crossw[(l, m)] = np.exp(-c)
+def _factors(p: Problem, tau: float) -> ChainFactors:
+    """Factor tables of all pairs: sv[m] is the local weight of variable m,
+    cf[l, m-l-1] the interaction weight of the pair (l, m)."""
+    return ChainFactors(chain_view(p, max(p.n - 1, 1)), tau)
 
 
 # ---------------------------------------------------------------------------
 # Contraction
 
 
-def _absorb_row_sparse(bound: np.ndarray, m: int, base: int, tables: _Tables,
-                       fixed_vals: dict, do_norm: bool) -> np.ndarray:
+def _absorb_row_sparse(bound: np.ndarray, m: int, base: int, fac: ChainFactors,
+                       fixed) -> np.ndarray:
     """Absorb row m into the boundary over free variables (base..m).
 
-    Fixed variables (index < base) enter by selecting the matching slice of
-    their cross factor, per the value-transmission constraint; free ones
-    broadcast their full factor.  The row's own index is then summed out.
+    Fixed variables (index < base, values in fixed) enter by selecting the
+    matching slice of their cross factor, per the value-transmission
+    constraint; free ones broadcast their full factor.  The row's own index
+    is then summed out and the result scaled to a largest entry of 1.
     """
     axes = m - base + 1  # boundary covers x_base .. x_m
-    out = bound * tables.selfw[m]
+    out = bound * fac.sv[m]
     for l in range(m):
-        f = tables.crossw[(l, m)]
+        f = fac.cf[l, m - l - 1]
         if l < base:
-            out = out * f[fixed_vals[l], :]
+            out = out * f[fixed[l], :]
         else:
             view = f.reshape((f.shape[0],) + (1,) * (m - l - 1) + (f.shape[1],))
             out = out * view
-    out = out.sum(axis=axes - 1)
-    if do_norm:
-        out, _ = _normalize_step(out, m)
-    return out
+    return _normalize_msg(out.sum(axis=axes - 1), m, axis=None)
 
 
-def _absorb_row_dense(bound: np.ndarray, m: int, base: int, tables: _Tables,
-                      fixed_vals: dict, do_norm: bool) -> np.ndarray:
-    """Same absorption using materialized dense node tensors and einsum."""
-    d = tables.selfw.shape[1]
-    axes = m - base + 1
-    smat = np.diag(tables.selfw[m])
-    work = np.tensordot(bound, smat, axes=([axes - 1], [0]))  # wire = x_m
-    for l in range(m - 1, -1, -1):
-        node = np.zeros((d, d, d, d))
-        for i in range(d):
-            for j in range(d):
-                node[i, i, j, j] = tables.crossw[(l, m)][i, j]
-        if l < base:
-            vec = node[fixed_vals[l], fixed_vals[l]]  # (d, d) diagonal slice
-            work = np.tensordot(work, vec, axes=([work.ndim - 1], [0]))
-        else:
-            pos = l - base
-            moved = np.moveaxis(work, pos, -2)
-            moved = np.einsum("...ij,imjn->...mn", moved, node)
-            work = np.moveaxis(moved, -2, pos)
-    work = work.sum(axis=-1)
-    if do_norm:
-        work, _ = _normalize_step(work, m)
-    return work
-
-
-def _normalize_step(arr: np.ndarray, row: int):
-    try:
-        return normalize(arr)
-    except NumericFaultError as exc:
-        raise NumericFaultError(f"row {row}: {exc}") from exc
-
-
-def _row_local_marginal(vec: np.ndarray, i: int, tables: _Tables,
-                        fixed_vals: dict) -> np.ndarray:
-    """Multiply row i's own factors at the fixed prefix into a d-vector."""
-    out = vec * tables.selfw[i]
+def _row_local_marginal(vec: np.ndarray, i: int, fac: ChainFactors,
+                        fixed) -> np.ndarray:
+    """Row i's own factors at the fixed prefix times vec, scaled to a
+    largest entry of 1."""
+    out = vec * fac.sv[i]
     for l in range(i):
-        out = out * tables.crossw[(l, i)][fixed_vals[l], :]
-    return out
+        out = out * fac.cf[l, i - l - 1][fixed[l], :]
+    return _normalize_msg(out, i)
 
 
-def contract_marginal(net: StairNetwork, i: int, fixed, *,
-                      dense_nodes: bool = False) -> MarginalVector:
+def contract_marginal(net: StairNetwork, i: int, fixed) -> MarginalVector:
     """Marginal of variable i given fixed values for variables 0..i-1.
 
     Rows below i are absorbed bottom-to-top with normalization between
@@ -214,14 +148,12 @@ def contract_marginal(net: StairNetwork, i: int, fixed, *,
     fixed_vals = {int(k): int(v) for k, v in dict(fixed or {}).items()}
     if sorted(fixed_vals) != list(range(i)):
         raise ValueError(f"fixed must cover exactly variables 0..{i - 1}")
-    tables = _Tables(p, cfg.tau)
-    absorb = _absorb_row_dense if dense_nodes else _absorb_row_sparse
+    fac = _factors(p, cfg.tau)
     bound = np.ones((p.d,) * (p.n - i))  # boundary over x_i .. x_{n-1}
     for m in range(p.n - 1, i, -1):
-        bound = absorb(bound, m, i, tables, fixed_vals, cfg.normalize)
-    vec = _row_local_marginal(bound.reshape(p.d), i, tables, fixed_vals)
-    vec, dropped = _normalize_step(vec, i) if cfg.normalize else (vec, False)
-    return MarginalVector(entries=vec, scale_dropped=dropped)
+        bound = _absorb_row_sparse(bound, m, i, fac, fixed_vals)
+    vec = _row_local_marginal(bound.reshape(p.d), i, fac, fixed_vals)
+    return MarginalVector(entries=vec)
 
 
 @dataclass
@@ -231,50 +163,27 @@ class DenseSolveResult:
     marginals: list = field(default_factory=list)
 
 
-def solve_dense(p: Problem, cfg: SolverConfig, *, reuse: bool = True,
-                dense_nodes: bool = False) -> DenseSolveResult:
+def solve_dense(p: Problem, cfg: SolverConfig) -> DenseSolveResult:
     """Iteratively determine every variable from its marginal argmax.
 
-    With reuse on, one backward sweep stores the boundary tensor left after
-    absorbing rows above each position; later variables then need only a
-    slice and a d-vector of local factors.
+    One backward sweep stores the boundary tensor left after absorbing the
+    rows above each position; each variable then needs only a slice of it at
+    the fixed prefix and a d-vector of local factors.
     """
     _check_capacity(p)
-    net = build_stair(p, cfg)
-    tables = _Tables(p, cfg.tau)
-    absorb = _absorb_row_dense if dense_nodes else _absorb_row_sparse
-    fixed_vals: dict = {}
+    fac = _factors(p, cfg.tau)
+    stored = {}
+    bound = np.ones((p.d,) * p.n)
+    for m in range(p.n - 1, 0, -1):
+        bound = _absorb_row_sparse(bound, m, 0, fac, {})
+        stored[m - 1] = bound  # boundary over x_0 .. x_{m-1}
     assignment = []
     marginals = []
-    if reuse:
-        stored = {}
-        bound = np.ones((p.d,) * p.n) if p.n > 1 else None
-        if p.n > 1:
-            for m in range(p.n - 1, 0, -1):
-                bound = absorb(bound, m, 0, tables, fixed_vals, cfg.normalize)
-                stored[m - 1] = bound  # boundary over x_0 .. x_{m-1}
-        for i in range(p.n):
-            if i < p.n - 1:
-                b = stored[i]
-                idx = tuple(fixed_vals[l] for l in range(i))
-                vec = np.asarray(b[idx], dtype=float)
-            else:
-                vec = np.ones(p.d)
-            vec = _row_local_marginal(vec, i, tables, fixed_vals)
-            if cfg.normalize:
-                vec, _ = _normalize_step(vec, i)
-            marg = MarginalVector(entries=vec, scale_dropped=cfg.normalize)
-            val = argmax_extract(marg)
-            fixed_vals[i] = val
-            assignment.append(val)
-            marginals.append(marg)
-    else:
-        for i in range(p.n):
-            marg = contract_marginal(net, i, fixed_vals, dense_nodes=dense_nodes)
-            val = argmax_extract(marg)
-            fixed_vals[i] = val
-            assignment.append(val)
-            marginals.append(marg)
+    for i in range(p.n):
+        vec = stored[i][tuple(assignment)] if i < p.n - 1 else np.ones(p.d)
+        marg = MarginalVector(entries=_row_local_marginal(vec, i, fac, assignment))
+        assignment.append(argmax_extract(marg))
+        marginals.append(marg)
     return DenseSolveResult(assignment=assignment,
                             cost=evaluate_cost(p, assignment),
                             marginals=marginals)

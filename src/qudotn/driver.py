@@ -32,7 +32,7 @@ class SolveOutcome:
 
 def _per_tau(solve, cfg: SolverConfig):
     """(result, tau, skipped) of solve(cfg) at each tau of cfg's grid in
-    turn, for the solvers that take one tau at a time."""
+    turn, for the dense solver, which takes one tau at a time."""
     if cfg.tau_grid is None:
         return solve(cfg), cfg.tau, []
     taus = cfg.taus()
@@ -54,8 +54,8 @@ def solve_instance(p: Problem, method: str, cfg: SolverConfig,
 
     Grid points that fault numerically (extreme tau) are skipped and listed
     in the outcome; at least one point must succeed.  Ties keep the first
-    (smallest) tau, so results are deterministic.  matrix and waterfall
-    solve the whole grid in one pass; tensor and dense solve it one tau at a
+    (smallest) tau, so results are deterministic.  matrix, tensor and
+    waterfall solve the whole grid in one pass; dense solves it one tau at a
     time.
     """
     if method == "brute":
@@ -67,16 +67,11 @@ def solve_instance(p: Problem, method: str, cfg: SolverConfig,
                             peak_memory_proxy=p.n - 1, skipped_taus=skipped)
     kk = k if k is not None else max(p.bandwidth, 1)
     chain = chain_view(p, kk)
-    if method == "matrix":
-        res = solve_matrix(chain, cfg)
+    if method in ("matrix", "tensor"):
+        res = (solve_matrix if method == "matrix" else solve_tensor)(chain, cfg)
         return SolveOutcome(method, res.assignment, res.cost, res.tau,
                             peak_memory_proxy=res.messages_held,
                             skipped_taus=res.skipped_taus)
-    if method == "tensor":
-        res, tau, skipped = _per_tau(lambda c: solve_tensor(chain, c), cfg)
-        return SolveOutcome(method, res.assignment, res.cost, tau,
-                            peak_memory_proxy=res.messages_held,
-                            skipped_taus=skipped)
     if method == "waterfall":
         res = solve_waterfall(chain, cfg)
         return SolveOutcome(method, res.assignment, res.cost, res.tau,

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of the
+environment's size caps."""
+import os
 
 
 class QudotnError(Exception):
@@ -43,3 +45,23 @@ class InstanceFormatError(QudotnError):
     """An instance document is malformed."""
 
     code = "instance-format"
+
+
+class ConfigError(QudotnError):
+    """An environment setting has an invalid value."""
+
+    code = "config"
+
+
+def env_cap(name: str, default: int) -> int:
+    """The positive integer cap set by environment variable name, else default."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {text!r}")
+    return value

@@ -5,19 +5,14 @@ so it can validate the solvers.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, env_cap
 from .problem import Problem
 
 DEFAULT_STATE_CAP = 2_000_000
-
-
-def state_cap() -> int:
-    return int(os.environ.get("QUDOTN_BRUTE_CAP", DEFAULT_STATE_CAP))
 
 
 @dataclass
@@ -63,7 +58,7 @@ def brute_force(p: Problem, cap: int | None = None) -> OracleResult:
     Ties keep the lexicographically smallest assignment; enumeration order
     makes that the first argmin.
     """
-    cap = state_cap() if cap is None else cap
+    cap = env_cap("QUDOTN_BRUTE_CAP", DEFAULT_STATE_CAP) if cap is None else cap
     states = p.d ** p.n
     if states > cap:
         raise CapacityError(f"{states} states exceed brute-force cap {cap}")
@@ -86,7 +81,7 @@ def direct_marginal(p: Problem, i: int, fixed, tau: float,
     with the fixed values that has x_i = j.  Each bucket is summed with
     compensated summation (math.fsum) to keep tight tolerances honest.
     """
-    cap = state_cap() if cap is None else cap
+    cap = env_cap("QUDOTN_BRUTE_CAP", DEFAULT_STATE_CAP) if cap is None else cap
     fixed = dict(fixed or {})
     if not 0 <= i < p.n:
         raise ValueError(f"variable index {i} out of range")

@@ -17,9 +17,6 @@ import numpy as np
 from .errors import NumericFaultError
 from .problem import Problem
 
-TIE_BREAKS = ("lowest-index",)
-
-
 @dataclass
 class SolverConfig:
     """Knobs shared by all solvers.
@@ -32,8 +29,6 @@ class SolverConfig:
     """
 
     tau: float = 50.0
-    tie_break: str = "lowest-index"
-    normalize: bool = True
     tau_grid: tuple | None = None
     restart_factor: float = 1.0
     keep_trace: bool = False
@@ -41,8 +36,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
         if self.tau_grid is not None:
             lo, hi, count = self.tau_grid
             if not (0 < lo < hi and count >= 1):
@@ -87,7 +80,6 @@ class MarginalVector:
     """The d-entry vector whose argmax selects a variable's value."""
 
     entries: np.ndarray
-    scale_dropped: bool = False
 
 
 def _entries(v) -> np.ndarray:
@@ -125,8 +117,7 @@ def factor_cross(p: Problem, l: int, m: int, a: int, b: int, tau: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Node element rules (dense arrays; used for structure checks and the dense
-# contraction route)
+# Node element rules (dense arrays; used for structure checks)
 
 
 def superposition_node(d: int) -> np.ndarray:

@@ -142,10 +142,10 @@ def _waterfall_pass(chain: ChainProblem, cfg: SolverConfig, taus) -> _Pass:
     restart_factor != 1, a point's first cascade at a row m > 0 takes it out
     of the batch to have its prefix re-solved.
     """
-    fac = ChainFactors(chain, taus)
     d, k, n = chain.d, chain.k, chain.n
     out = _Pass(len(taus), n)
     x, faults = out.x, out.faults
+    fac = ChainFactors(chain, taus, faults)
     resolved_from = np.full(len(taus), n)  # rows resolved_from.. of x are final
     live = np.ones(len(taus), dtype=bool)  # neither faulted nor out for a restart
     tables: dict = {}
@@ -179,12 +179,7 @@ def _waterfall_pass(chain: ChainProblem, cfg: SolverConfig, taus) -> _Pass:
         if not live.any():
             break
         if m > 0:
-            if msg is None:
-                msg = MessageState(entries=fac.sv[:, m].copy(), origin=m, length=1, d=d)
-                if cfg.normalize:
-                    msg.entries = _normalize_msg(msg.entries, m, faults)
-            else:
-                msg = _transfer_flat(msg, m, fac, chain, cfg.normalize, faults)
+            msg = _transfer_flat(msg, m, fac, chain, faults)
     # variables before each point's resolved suffix, first to last
     todo = ~faults.mask & (out.restart_at == 0)
     for m in range(n):
@@ -234,15 +229,13 @@ def _restart(chain: ChainProblem, cfg: SolverConfig, out: _Pass, g: int, tau: fl
     return rounds
 
 
-def _trace_marginals(cands: dict, x: list, g: int, k: int, cfg: SolverConfig):
+def _trace_marginals(cands: dict, x: list, g: int, k: int):
     out = []
     for m in range(len(x)):
         cand = cands[m][g]
         d = cand.shape[-1]
         vec = cand[sum(x[m - 1 - j] * d ** j for j in range(min(k, m)))]
-        if cfg.normalize:
-            vec = _normalize_msg(vec, m)
-        out.append(MarginalVector(entries=vec, scale_dropped=cfg.normalize))
+        out.append(MarginalVector(entries=_normalize_msg(vec, m)))
     return out
 
 
@@ -272,7 +265,7 @@ def solve_waterfall(chain: ChainProblem, cfg: SolverConfig) -> WaterfallResult:
                                    restarts=int(restarts[g]))
             marginals = None
             if cfg.keep_trace and not restarts[g]:
-                marginals = _trace_marginals(out.vectors, x, g, chain.k, cfg)
+                marginals = _trace_marginals(out.vectors, x, g, chain.k)
             return WaterfallResult(assignment=x, cost=cost, stats=stats,
                                    marginals=marginals)
         return out.x, out.faults.messages, finish

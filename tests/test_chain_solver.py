@@ -22,8 +22,8 @@ from qudotn.dense_solver import build_stair
 from qudotn.tn_core import SolverConfig
 
 
-def _cfg(tau, **kw):
-    return SolverConfig(tau=tau, **kw)
+def _cfg(tau):
+    return SolverConfig(tau=tau)
 
 
 class TestBackwardPass:
@@ -36,11 +36,11 @@ class TestBackwardPass:
 
     def test_three_site_message(self):
         p = Problem(kind="qudo", n=3, d=2, quad={(1, 2): 1.0})
-        msgs = backward_pass_matrix(chain_view(p, 1),
-                                    _cfg(1.0, normalize=False))
+        msgs = backward_pass_matrix(chain_view(p, 1), _cfg(1.0))
         b1 = [m for m in msgs if m.origin == 1][0]
-        assert b1.entries == pytest.approx([2.0, 1.0 + math.exp(-1.0)],
-                                           rel=1e-12)
+        # messages are scaled to a largest entry of 1
+        assert 2.0 * b1.entries == pytest.approx([2.0, 1.0 + math.exp(-1.0)],
+                                                 rel=1e-12)
 
     def test_all_messages_retained(self):
         p = random_instance("qudo", 9, 2, 2, seed=1)
@@ -87,13 +87,15 @@ class TestTransferOperator:
             transfer_operator_dense(chain_view(p, 2), 4, tau=1.0)
 
     def test_matches_sparse_transfer(self):
-        p = random_instance("qudo", 8, 2, 2, seed=4, lin_enabled=True)
-        ch = chain_view(p, 2)
-        a = solve_matrix(ch, _cfg(5.0))
-        b = solve_matrix(ch, _cfg(5.0), dense_operator=True)
-        assert a.assignment == b.assignment
-        for x, y in zip(a.marginals, b.marginals):
-            assert np.max(np.abs(x.entries - y.entries)) <= 1e-9
+        # the dense operator maps B_{m+1} onto B_m, up to scale, on every
+        # interior row
+        for k in range(1, 4):
+            p = random_instance("qudo", 8, 2, k, seed=4, lin_enabled=True)
+            ch = chain_view(p, k)
+            by = {m.origin: m.entries for m in backward_pass_matrix(ch, _cfg(5.0))}
+            for m in range(1, 8 - k):
+                want = transfer_operator_dense(ch, m, tau=5.0) @ by[m + 1]
+                assert np.max(np.abs(want / want.max() - by[m])) <= 1e-12
 
 
 class TestSolveMatrix:
@@ -134,13 +136,15 @@ class TestSolveMatrix:
 
     def test_marginal_matches_oracle(self):
         from qudotn import direct_marginal, normalize
-        p = random_instance("qudo", 8, 3, 2, seed=6, lin_enabled=True)
-        ch = chain_view(p, 2)
-        res = solve_matrix(ch, _cfg(1.0))
-        for i in range(8):
-            fixed = {j: res.assignment[j] for j in range(i)}
-            oracle, _ = normalize(np.asarray(direct_marginal(p, i, fixed, 1.0)))
-            assert np.max(np.abs(res.marginals[i].entries - oracle)) <= 1e-10
+        cases = [random_instance("qudo", 8, 3, 2, seed=6, lin_enabled=True),
+                 random_instance("qudo", 7, 3, 6, seed=6, lin_enabled=True),
+                 random_instance("tqudo", 8, 3, 2, seed=6)]
+        for p in cases:
+            res = solve_matrix(chain_view(p, p.bandwidth), _cfg(1.0))
+            for i in range(p.n):
+                fixed = {j: res.assignment[j] for j in range(i)}
+                oracle, _ = normalize(np.asarray(direct_marginal(p, i, fixed, 1.0)))
+                assert np.max(np.abs(res.marginals[i].entries - oracle)) <= 1e-10
 
 
 class TestChainStair:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qudotn import ConfigError, SolverConfig, parse_instance, solve_instance
 from qudotn.cli import COMPARE_COLUMNS, main, relative_error
 
 
@@ -87,6 +88,26 @@ class TestSolve:
                            "matrix", "--k", "2")
         assert code == 1
         assert err.startswith("ERROR not-a-chain:")
+
+
+
+class TestCapSettings:
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    @pytest.mark.parametrize("var,method", [("QUDOTN_CHAIN_CAP", "matrix"),
+                                            ("QUDOTN_DENSE_CAP", "dense"),
+                                            ("QUDOTN_BRUTE_CAP", "brute")])
+    def test_invalid_cap_is_config_error(self, monkeypatch, var, method, value):
+        monkeypatch.setenv(var, value)
+        p = parse_instance(json.dumps(EXAMPLE))
+        with pytest.raises(ConfigError, match=f"{var} .*{value!r}"):
+            solve_instance(p, method, SolverConfig())
+
+    def test_cli_exit_code(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("QUDOTN_CHAIN_CAP", "abc")
+        path = write_instance(tmp_path, EXAMPLE)
+        code, _, err = run(capsys, "solve", "--input", path, "--method", "matrix")
+        assert code == 1
+        assert err.startswith("ERROR config:") and "QUDOTN_CHAIN_CAP" in err
 
 
 class TestRelativeError:

@@ -107,17 +107,6 @@ class TestContractMarginal:
             assert np.max(np.abs(vec - oracle)) <= 1e-10
             fixed[i] = int(np.argmax(vec))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_sparse_dense_node_equality(self, seed):
-        p = random_instance("qudo", 5, 3, 4, seed=seed, lin_enabled=True)
-        net = build_stair(p, _cfg(1.5))
-        fixed = {}
-        for i in range(5):
-            a = contract_marginal(net, i, fixed).entries
-            b = contract_marginal(net, i, fixed, dense_nodes=True).entries
-            assert np.max(np.abs(a - b)) <= 1e-12
-            fixed[i] = int(np.argmax(a))
-
 
 class TestSolveDense:
     def test_all_positive_triangle(self):
@@ -139,10 +128,17 @@ class TestSolveDense:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reuse_invariance(self, seed):
+        # the stored boundaries give what a fresh contraction per variable
+        # gives
         p = random_instance("qudo", 7, 2, 6, seed=seed, lin_enabled=True)
-        a = solve_dense(p, _cfg(2.0), reuse=True)
-        b = solve_dense(p, _cfg(2.0), reuse=False)
-        assert a.assignment == b.assignment
+        res = solve_dense(p, _cfg(2.0))
+        net = build_stair(p, _cfg(2.0))
+        fixed = {}
+        for i in range(p.n):
+            vec = contract_marginal(net, i, fixed).entries
+            assert np.max(np.abs(vec - res.marginals[i].entries)) <= 1e-12
+            fixed[i] = int(np.argmax(vec))
+        assert res.assignment == [fixed[i] for i in range(p.n)]
 
     def test_cost_is_recomputed_cost(self):
         from qudotn import evaluate_cost

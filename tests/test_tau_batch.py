@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qudotn import (NumericFaultError, Problem, chain_view, random_instance,
-                    solve_matrix, solve_waterfall, to_tqudo)
+                    solve_matrix, solve_tensor, solve_waterfall, to_tqudo)
 from qudotn.cli import main as cli_main
 from qudotn.driver import solve_instance
 from qudotn.tn_core import SolverConfig, tau_grid_values
@@ -53,14 +53,16 @@ def assert_same_waterfall(chain, cfg):
 def test_matrix_grid_criterion_3_seeds(idx):
     n, d, k = 4 + idx % 9, 2 + idx % 2, 1 + idx % 3
     p = random_instance("qudo", n, d, k, seed=3000 + idx, lin_enabled=True)
-    assert_same_winner(chain_view(p, k), SolverConfig(tau_grid=GRID), solve_matrix)
+    for solve in (solve_matrix, solve_tensor):
+        assert_same_winner(chain_view(p, k), SolverConfig(tau_grid=GRID), solve)
 
 
 @pytest.mark.parametrize("idx", range(0, 100, 10))
 def test_matrix_grid_criterion_8_seeds(idx):
     n, d, k = 4 + idx % 7, 2 + idx % 2, 1 + idx % 2
     p = random_instance("tqudo", n, d, k, seed=8000 + idx)
-    assert_same_winner(chain_view(p, k), SolverConfig(tau_grid=GRID), solve_matrix)
+    for solve in (solve_matrix, solve_tensor):
+        assert_same_winner(chain_view(p, k), SolverConfig(tau_grid=GRID), solve)
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
@@ -114,7 +116,7 @@ def test_driver_reports_winning_tau_once_per_grid():
 
 def _overflowing_instance():
     """Variable 0 has costs -1e306 and +1e306: tau * cost leaves float range
-    for tau > ~180, where every weighted state turns non-finite."""
+    for tau > ~180."""
     qhat = dict(to_tqudo(random_instance("qudo", 8, 2, 1, seed=3)).qhat)
     qhat[(0, 0, 0, 0)] = -1e306
     qhat[(0, 0, 1, 1)] = 1e306
@@ -125,17 +127,21 @@ def _overflowing_instance():
 @pytest.mark.parametrize("method", ["matrix", "tensor", "waterfall", "dense"])
 def test_faulted_grid_points_are_listed(method):
     p = _overflowing_instance()
-    cfg = SolverConfig(tau_grid=(0.1, 500.0, 12), normalize=False)
+    cfg = SolverConfig(tau_grid=(0.1, 500.0, 12))
     out = solve_instance(p, method, cfg)
     taus = tau_grid_values(cfg.tau_grid)
     assert [tau for tau, _ in out.skipped_taus] == [float(t) for t in taus if t > 180.0]
-    assert all(isinstance(msg, str) and msg for _, msg in out.skipped_taus)
-    if method in ("matrix", "waterfall"):
-        solve = solve_matrix if method == "matrix" else solve_waterfall
+    overflow = "overflow: tau * cost leaves float range"
+    assert all(msg.startswith(overflow) for _, msg in out.skipped_taus)
+    if method != "dense":
+        solve = {"matrix": solve_matrix, "tensor": solve_tensor,
+                 "waterfall": solve_waterfall}[method]
         tau, ref = per_tau_loop(solve, chain_view(p, 1), cfg)
         assert (out.assignment, out.cost, out.tau) == (ref.assignment, ref.cost, tau)
-    with pytest.raises(NumericFaultError):
+    with pytest.raises(NumericFaultError, match="^overflow"):
         solve_instance(p, method, replace(cfg, tau_grid=(200.0, 500.0, 4)))
+    with pytest.raises(NumericFaultError, match="^overflow"):
+        solve_instance(p, method, replace(cfg, tau=300.0, tau_grid=None))
 
 
 def test_unfaulted_grid_skips_nothing():

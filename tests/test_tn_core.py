@@ -185,7 +185,3 @@ class TestSolverConfig:
         assert vals[0] == pytest.approx(0.1) and vals[-1] == pytest.approx(500.0)
         ratios = vals[1:] / vals[:-1]
         assert np.allclose(ratios, ratios[0])
-
-    def test_unknown_tie_break(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tie_break="random")
