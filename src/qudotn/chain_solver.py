@@ -14,7 +14,8 @@ values carry a leading grid axis, and every kernel below then advances all G
 points with one numpy call per row.  A single tau is the G = 1 case.  Each
 point's arithmetic is the same as in a solve of that point alone, so its
 result is too.  A scalar tau gives the tables without the grid axis, as the
-dense solver and the per-row helpers use them.
+per-row helpers use them.  solve_grid keeps the best point of a grid for
+every method, the dense solver's included.
 """
 from __future__ import annotations
 
@@ -24,17 +25,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CapacityError, NumericFaultError, env_cap
-from .problem import ChainProblem, chain_cost, evaluate_cost
-from .tn_core import (MarginalVector, SolverConfig, argmax_extract, normalize,
-                      pick_best)
+from .problem import ChainProblem, Problem, evaluate_cost
+from .tn_core import MarginalVector, SolverConfig, argmax_extract, normalize
 
 DEFAULT_CHAIN_CAP = 1 << 20  # max d**k message entries
-
-
-def result_cost(chain: ChainProblem, assignment) -> float:
-    if chain.problem is not None:
-        return evaluate_cost(chain.problem, assignment)
-    return chain_cost(chain, assignment)
 
 
 class ChainFactors:
@@ -70,12 +64,15 @@ class ChainFactors:
             faults.flag(over, message)
             taus = np.where(over, 0.0, taus)
         t = taus[..., None, None]
-        self.sc = t * chain.diag_cost
-        self.sc -= t * chain.diag_cost.min(axis=-1, keepdims=True)
+        # a shift of finite scaled costs can still overflow to +inf, which
+        # is the right exponent there: its weight is 0
+        with np.errstate(over="ignore"):
+            self.sc = t * chain.diag_cost
+            self.sc -= t * chain.diag_cost.min(axis=-1, keepdims=True)
+            t = t[..., None, None]
+            self.cc = t * chain.cross_cost
+            self.cc -= t * chain.cross_cost.min(axis=(-2, -1), keepdims=True)
         self.sv = np.exp(-self.sc)
-        t = t[..., None, None]
-        self.cc = t * chain.cross_cost
-        self.cc -= t * chain.cross_cost.min(axis=(-2, -1), keepdims=True)
         # leading index that pairs each grid point with its own table rows
         # when rows are picked per point by fancy indexing
         self.points = (np.arange(self.taus.size)[:, None],) if self.taus.ndim else ()
@@ -172,12 +169,13 @@ class MessageState:
 
 
 def _check_chain_capacity(chain: ChainProblem) -> int:
-    """The chain cap; raises when a message of d**k entries exceeds it."""
+    """Grid points per batch: as many as fit, message entries summed, under
+    the chain cap.  Raises when one message of d**k entries exceeds it."""
     cap = env_cap("QUDOTN_CHAIN_CAP", DEFAULT_CHAIN_CAP)
     if chain.d ** chain.k > cap:
         raise CapacityError(
             f"message size d^k = {chain.d ** chain.k} exceeds chain cap {cap}")
-    return cap
+    return cap // chain.d ** chain.k
 
 
 def _transfer_flat(msg: MessageState | None, m: int, fac: ChainFactors,
@@ -347,36 +345,48 @@ class ChainSolveResult:
     skipped_taus: list = field(default_factory=list)
 
 
-def solve_grid(chain: ChainProblem, cfg: SolverConfig, solve_batch):
+def _chain_finish(x: np.ndarray, margs: list, held: int):
+    """finish(g, cost) for solve_grid: grid point g's ChainSolveResult from a
+    batch's (G, n) assignments and per-variable (G, d) marginals."""
+    def finish(g, cost):
+        return ChainSolveResult(
+            assignment=x[g].tolist(), cost=cost,
+            marginals=[MarginalVector(entries=v[g]) for v in margs],
+            messages_held=held)
+    return finish
+
+
+def solve_grid(p: Problem, cfg: SolverConfig, size: int, solve_batch):
     """Solve every tau of cfg (its grid, or tau alone) and keep the best point.
 
-    The taus go to solve_batch in batches of at most (chain cap) // d**k
-    points, so that one batched message holds no more entries than the chain
-    cap allows.  solve_batch(taus) returns the (G, n) assignments, the fault
-    message of each point (None when it solved) and finish(g, cost), which
-    builds the result of point g.  The result carries the winning tau and the
-    (tau, message) pairs of the faulted points.
+    The taus go to solve_batch in batches of at most size points, the
+    caller's bound on what one batch may hold.  solve_batch(taus) returns the
+    (G, n) assignments, the fault message of each point (None when it
+    solved) and finish(g, cost), which builds the result of point g.  The
+    lowest cost of p wins and ties keep the first, i.e. the smallest, tau.
+    The result carries the winning tau and the (tau, message) pairs of the
+    faulted points; when every point faulted, the last fault is raised.
     """
     taus = cfg.taus()
-    size = max(1, _check_chain_capacity(chain) // chain.d ** chain.k)
-    points, costs, faults = [], [], []
+    best, skipped = None, []
     known: dict = {}  # grid points often agree, so cost each assignment once
     for start in range(0, len(taus), size):
         xs, messages, finish = solve_batch(taus[start:start + size])
         for g, (x, message) in enumerate(zip(xs, messages)):
-            cost = None
-            if message is None:
-                key = x.tobytes()
-                if key not in known:
-                    known[key] = result_cost(chain, x.tolist())
-                cost = known[key]
-            points.append((finish, g))
-            costs.append(cost)
-            faults.append(message)
-    best, skipped = pick_best(taus, costs, faults)
-    finish, g = points[best]
-    res = finish(g, costs[best])
-    res.tau = float(taus[best])
+            tau = float(taus[start + g])
+            if message is not None:
+                skipped.append((tau, message))
+                continue
+            key = x.tobytes()
+            if key not in known:
+                known[key] = evaluate_cost(p, x.tolist())
+            if best is None or known[key] < best[0]:
+                best = (known[key], tau, finish, g)
+    if best is None:
+        raise NumericFaultError(skipped[-1][1])
+    cost, tau, finish, g = best
+    res = finish(g, cost)
+    res.tau = tau
     res.skipped_taus = skipped
     return res
 
@@ -399,16 +409,9 @@ def solve_matrix(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:
             vec = _normalize_msg(vec, m, faults)
             margs.append(vec)
             x[:, m] = _argmax(vec, faults)
-        held = len(msgs)
+        return x, faults.messages, _chain_finish(x, margs, len(msgs))
 
-        def finish(g, cost):
-            return ChainSolveResult(
-                assignment=x[g].tolist(), cost=cost,
-                marginals=[MarginalVector(entries=v[g]) for v in margs],
-                messages_held=held)
-        return x, faults.messages, finish
-
-    return solve_grid(chain, cfg, solve_batch)
+    return solve_grid(chain.problem, cfg, _check_chain_capacity(chain), solve_batch)
 
 
 def solve_tensor(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:

@@ -5,20 +5,25 @@ each row is absorbed right to left, exploiting the structural nonzero
 patterns of the nodes (diagonal value transmission).  Intermediate boundary
 tensors from the first determination are kept and reused for the remaining
 variables, so the whole solve costs a single full contraction.  The factor
-tables are the chain solvers', for the chain view at k = n - 1.
+tables are the chain solvers', for the chain view at k = n - 1, with their
+leading tau-grid axis: every boundary carries it too, so one contraction
+serves a batch of grid points, and the best point is kept by the chain
+solvers' solve_grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_solver import ChainFactors, _normalize_msg
+from .chain_solver import (ChainFactors, ChainSolveResult, GridFaults, _argmax,
+                           _chain_finish, _normalize_msg, solve_grid)
 from .errors import CapacityError, env_cap
-from .problem import Problem, chain_view, evaluate_cost
-from .tn_core import MarginalVector, SolverConfig, argmax_extract
+from .problem import Problem, chain_view
+from .tn_core import MarginalVector, SolverConfig
 # unused here; still bound because the benchmark's layer probes rebind them
-from .tn_core import cross_cost, normalize, self_cost  # noqa: F401
+from .problem import evaluate_cost  # noqa: F401
+from .tn_core import argmax_extract, cross_cost, normalize, self_cost  # noqa: F401
 
 DEFAULT_DENSE_CAP = 32768  # max boundary-tensor elements, d**(n-1)
 
@@ -86,54 +91,68 @@ def build_stair(p: Problem, cfg: SolverConfig) -> StairNetwork:
                         band_k=p.n - 1)
 
 
-def _check_capacity(p: Problem):
+def _check_capacity(p: Problem) -> int:
+    """Grid points per batch: as many as fit under the cap, each point
+    counted at the larger of its boundary, d**(n-1), and its factor tables,
+    n*(n-1)*d**2 (at least one point).  Raises when one point's boundary
+    exceeds the cap."""
     cap = env_cap("QUDOTN_DENSE_CAP", DEFAULT_DENSE_CAP)
-    if p.d ** (p.n - 1) > cap:
+    size = p.d ** (p.n - 1)
+    if size > cap:
         raise CapacityError(
-            f"dense contraction needs d^(n-1) = {p.d ** (p.n - 1)} boundary "
+            f"dense contraction needs d^(n-1) = {size} boundary "
             f"elements, above the cap of {cap}"
         )
-
-
-def _factors(p: Problem, tau: float) -> ChainFactors:
-    """Factor tables of all pairs: sv[m] is the local weight of variable m,
-    cf[l, m-l-1] the interaction weight of the pair (l, m)."""
-    return ChainFactors(chain_view(p, max(p.n - 1, 1)), tau)
+    return max(1, cap // max(size, p.n * (p.n - 1) * p.d ** 2))
 
 
 # ---------------------------------------------------------------------------
 # Contraction
 
 
+def _prefix_rows(fac: ChainFactors, m: int, x: np.ndarray) -> np.ndarray:
+    """(G, L, d): row l holds cf[g, l, m-l-1, x[g, l]], the weights that
+    point g's fixed variable l puts on the values of variable m, for the L
+    columns of x."""
+    ls = np.arange(x.shape[1])
+    return fac.cf[(*fac.points, ls, m - ls - 1, x)]
+
+
 def _absorb_row_sparse(bound: np.ndarray, m: int, base: int, fac: ChainFactors,
-                       fixed) -> np.ndarray:
+                       x: np.ndarray, faults: GridFaults | None = None) -> np.ndarray:
     """Absorb row m into the boundary over free variables (base..m).
 
-    Fixed variables (index < base, values in fixed) enter by selecting the
-    matching slice of their cross factor, per the value-transmission
-    constraint; free ones broadcast their full factor.  The row's own index
-    is then summed out and the result scaled to a largest entry of 1.
+    bound and every factor carry the grid axis in front.  sv[g, m] is the
+    local weight of variable m, cf[g, l, m-l-1] the interaction weight of
+    the pair (l, m).  Fixed variables (index < base, point g's values in
+    x[g]) enter by selecting the matching slice of their cross factor, per
+    the value-transmission constraint; free ones broadcast their full factor.
+    The row's own index is then summed out and each point's result scaled to
+    a largest entry of 1.
     """
-    axes = m - base + 1  # boundary covers x_base .. x_m
-    out = bound * fac.sv[m]
-    for l in range(m):
-        f = fac.cf[l, m - l - 1]
-        if l < base:
-            out = out * f[fixed[l], :]
-        else:
-            view = f.reshape((f.shape[0],) + (1,) * (m - l - 1) + (f.shape[1],))
-            out = out * view
-    return _normalize_msg(out.sum(axis=axes - 1), m, axis=None)
+    G, d = fac.sv.shape[0], fac.sv.shape[-1]
+    last = (G,) + (1,) * (m - base) + (d,)  # broadcasts onto the axis of x_m
+    out = bound * fac.sv[:, m].reshape(last)
+    if base:
+        rows = _prefix_rows(fac, m, x[:, :base])
+        for l in range(base):
+            out *= rows[:, l].reshape(last)
+    for l in range(base, m):
+        f = fac.cf[:, l, m - l - 1]
+        out *= f.reshape((G,) + (1,) * (l - base) + (d,) + (1,) * (m - l - 1) + (d,))
+    out = out.sum(axis=-1)
+    return _normalize_msg(out, m, faults, axis=tuple(range(1, out.ndim)))
 
 
 def _row_local_marginal(vec: np.ndarray, i: int, fac: ChainFactors,
-                        fixed) -> np.ndarray:
-    """Row i's own factors at the fixed prefix times vec, scaled to a
-    largest entry of 1."""
-    out = vec * fac.sv[i]
+                        x: np.ndarray, faults: GridFaults | None = None) -> np.ndarray:
+    """Row i's own factors at each point's fixed prefix x[:, :i] times vec,
+    scaled to a largest entry of 1."""
+    out = vec * fac.sv[:, i]
+    rows = _prefix_rows(fac, i, x[:, :i])
     for l in range(i):
-        out = out * fac.cf[l, i - l - 1][fixed[l], :]
-    return _normalize_msg(out, i)
+        out *= rows[:, l]
+    return _normalize_msg(out, i, faults)
 
 
 def contract_marginal(net: StairNetwork, i: int, fixed) -> MarginalVector:
@@ -141,49 +160,55 @@ def contract_marginal(net: StairNetwork, i: int, fixed) -> MarginalVector:
 
     Rows below i are absorbed bottom-to-top with normalization between
     absorptions; the remaining boundary is combined with row i's local
-    factors.
+    factors.  This is solve_dense's kernel on a one-point grid; a numeric
+    fault is raised.
     """
     p, cfg = net.problem, net.cfg
     _check_capacity(p)
     fixed_vals = {int(k): int(v) for k, v in dict(fixed or {}).items()}
     if sorted(fixed_vals) != list(range(i)):
         raise ValueError(f"fixed must cover exactly variables 0..{i - 1}")
-    fac = _factors(p, cfg.tau)
-    bound = np.ones((p.d,) * (p.n - i))  # boundary over x_i .. x_{n-1}
+    x = np.array([fixed_vals[l] for l in range(i)], dtype=np.intp).reshape(1, i)
+    fac = ChainFactors(chain_view(p, max(p.n - 1, 1)), np.array([cfg.tau]))
+    bound = np.ones((1,) + (p.d,) * (p.n - i))  # boundary over x_i .. x_{n-1}
     for m in range(p.n - 1, i, -1):
-        bound = _absorb_row_sparse(bound, m, i, fac, fixed_vals)
-    vec = _row_local_marginal(bound.reshape(p.d), i, fac, fixed_vals)
-    return MarginalVector(entries=vec)
+        bound = _absorb_row_sparse(bound, m, i, fac, x)
+    vec = _row_local_marginal(bound.reshape(1, p.d), i, fac, x)
+    return MarginalVector(entries=vec[0])
 
 
-@dataclass
-class DenseSolveResult:
-    assignment: list
-    cost: float
-    marginals: list = field(default_factory=list)
-
-
-def solve_dense(p: Problem, cfg: SolverConfig) -> DenseSolveResult:
+def solve_dense(p: Problem, cfg: SolverConfig) -> ChainSolveResult:
     """Iteratively determine every variable from its marginal argmax.
 
     One backward sweep stores the boundary tensor left after absorbing the
     rows above each position; each variable then needs only a slice of it at
-    the fixed prefix and a d-vector of local factors.
+    the fixed prefix and a d-vector of local factors.  With cfg.tau_grid set,
+    one sweep serves a batch of grid points and the best point wins (see
+    solve_grid); a batch holds at most QUDOTN_DENSE_CAP // d**(n-1) points,
+    fewer where the factor tables outgrow the boundary (_check_capacity).
     """
-    _check_capacity(p)
-    fac = _factors(p, cfg.tau)
-    stored = {}
-    bound = np.ones((p.d,) * p.n)
-    for m in range(p.n - 1, 0, -1):
-        bound = _absorb_row_sparse(bound, m, 0, fac, {})
-        stored[m - 1] = bound  # boundary over x_0 .. x_{m-1}
-    assignment = []
-    marginals = []
-    for i in range(p.n):
-        vec = stored[i][tuple(assignment)] if i < p.n - 1 else np.ones(p.d)
-        marg = MarginalVector(entries=_row_local_marginal(vec, i, fac, assignment))
-        assignment.append(argmax_extract(marg))
-        marginals.append(marg)
-    return DenseSolveResult(assignment=assignment,
-                            cost=evaluate_cost(p, assignment),
-                            marginals=marginals)
+    size = _check_capacity(p)
+    chain = chain_view(p, max(p.n - 1, 1))
+
+    def solve_batch(taus):
+        faults = GridFaults(len(taus))
+        fac = ChainFactors(chain, taus, faults)
+        stored = {}
+        bound = np.ones((len(taus),) + (p.d,) * p.n)
+        for m in range(p.n - 1, 0, -1):
+            bound = _absorb_row_sparse(bound, m, 0, fac, None, faults)
+            stored[m - 1] = bound  # boundary over x_0 .. x_{m-1}
+        x = np.zeros((len(taus), p.n), dtype=np.intp)
+        points = np.arange(len(taus))
+        margs = []
+        for i in range(p.n):
+            if i < p.n - 1:
+                vec = stored[i][(points, *x[:, :i].T)]
+            else:
+                vec = np.ones((len(taus), p.d))
+            vec = _row_local_marginal(vec, i, fac, x, faults)
+            margs.append(vec)
+            x[:, i] = _argmax(vec, faults)
+        return x, faults.messages, _chain_finish(x, margs, p.n - 1)
+
+    return solve_grid(p, cfg, size, solve_batch)

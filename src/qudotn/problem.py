@@ -162,17 +162,6 @@ def chain_view(p: Problem, k: int) -> ChainProblem:
     return ChainProblem(problem=p, k=k, n=n, d=d, diag_cost=diag, cross_cost=cross)
 
 
-def chain_cost(chain: ChainProblem, x) -> float:
-    """Cost of an assignment evaluated from the chain's local cost tables."""
-    vals = [int(v) for v in x]
-    total = 0.0
-    for m in range(chain.n):
-        total += chain.diag_cost[m, vals[m]]
-        for j in range(1, min(chain.k, chain.n - 1 - m) + 1):
-            total += chain.cross_cost[m, j - 1, vals[m], vals[m + j]]
-    return float(total)
-
-
 def to_tqudo(p: Problem) -> Problem:
     """Embed a QUBO/QUDO instance into the T-QUDO representation.
 

@@ -56,25 +56,6 @@ def tau_grid_values(grid) -> np.ndarray:
     return np.geomspace(lo, hi, int(count))
 
 
-def pick_best(taus, costs, faults):
-    """The best-of rule of every tau grid: the lowest cost wins and ties keep
-    the first, i.e. the smallest, tau.
-
-    costs[i] is ignored where grid point i faulted with message faults[i]
-    (None when it did not).  Returns the winner's index and the (tau,
-    message) pairs of the faulted points; raises the last fault when every
-    point faulted.
-    """
-    skipped = [(float(tau), msg) for tau, msg in zip(taus, faults) if msg is not None]
-    best = None
-    for i, (cost, msg) in enumerate(zip(costs, faults)):
-        if msg is None and (best is None or cost < costs[best]):
-            best = i
-    if best is None:
-        raise NumericFaultError(skipped[-1][1] if skipped else "every tau grid point faulted")
-    return best, skipped
-
-
 @dataclass
 class MarginalVector:
     """The d-entry vector whose argmax selects a variable's value."""

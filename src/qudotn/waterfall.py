@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain_solver import (ChainFactors, GridFaults, MessageState,
-                           _candidates_flat, _digits, _normalize_msg,
-                           _transfer_flat, solve_grid)
+                           _candidates_flat, _check_chain_capacity, _digits,
+                           _normalize_msg, _transfer_flat, solve_grid)
 from .errors import NumericFaultError
 from .problem import ChainProblem
 from .tn_core import MarginalVector, SolverConfig
@@ -270,4 +270,4 @@ def solve_waterfall(chain: ChainProblem, cfg: SolverConfig) -> WaterfallResult:
                                    marginals=marginals)
         return out.x, out.faults.messages, finish
 
-    return solve_grid(chain, cfg, solve_batch)
+    return solve_grid(chain.problem, cfg, _check_chain_capacity(chain), solve_batch)

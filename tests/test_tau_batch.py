@@ -3,7 +3,7 @@
 The reference below is the loop the driver used to run: one single-tau solve
 per grid point, faulted points skipped, the lowest cost kept and ties left to
 the smallest tau.  A batched solve must give the same winner on the seeds of
-acceptance criteria 3, 6 and 8 (with fewer instances).
+acceptance criteria 1, 3, 6 and 8 (with fewer instances).
 """
 from dataclasses import replace
 
@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qudotn import (NumericFaultError, Problem, chain_view, random_instance,
-                    solve_matrix, solve_tensor, solve_waterfall, to_tqudo)
+                    solve_dense, solve_matrix, solve_tensor, solve_waterfall,
+                    to_tqudo)
 from qudotn.cli import main as cli_main
 from qudotn.driver import solve_instance
 from qudotn.tn_core import SolverConfig, tau_grid_values
@@ -19,12 +20,16 @@ from qudotn.tn_core import SolverConfig, tau_grid_values
 GRID = (0.1, 500.0, 100)
 
 
-def per_tau_loop(solve, chain, cfg):
+def per_tau_loop(solve, chain, cfg, skipped=None):
+    """(tau, result) of the winning grid point; the faulted points' (tau,
+    message) pairs are appended to skipped."""
     best = None
     for tau in tau_grid_values(cfg.tau_grid):
         try:
             res = solve(chain, replace(cfg, tau=float(tau), tau_grid=None))
-        except NumericFaultError:
+        except NumericFaultError as exc:
+            if skipped is not None:
+                skipped.append((float(tau), str(exc)))
             continue
         if best is None or res.cost < best[1].cost:
             best = (float(tau), res)
@@ -33,13 +38,18 @@ def per_tau_loop(solve, chain, cfg):
     return best
 
 
-def assert_same_winner(chain, cfg, solve):
-    tau, ref = per_tau_loop(solve, chain, cfg)
+def assert_same_winner(chain, cfg, solve, may_skip=False):
+    """The batched solve picks the per-tau loop's winner and skips the same
+    points; unless may_skip, no grid point may fault at all."""
+    skipped = []
+    tau, ref = per_tau_loop(solve, chain, cfg, skipped)
     res = solve(chain, cfg)
     assert res.assignment == ref.assignment
     assert res.cost == ref.cost
     assert res.tau == tau
-    assert res.skipped_taus == []
+    assert res.skipped_taus == skipped
+    if not may_skip:
+        assert skipped == []
     return ref, res
 
 
@@ -47,6 +57,14 @@ def assert_same_waterfall(chain, cfg):
     ref, res = assert_same_winner(chain, cfg, solve_waterfall)
     assert res.stats == ref.stats
     return ref, res
+
+
+@pytest.mark.parametrize("idx", range(0, 200, 17))
+def test_dense_grid_criterion_1_seeds(idx):
+    n, d = 2 + idx % 9, 2 + idx % 2
+    p = random_instance("qudo", n, d, max(n - 1, 1), seed=1000 + idx,
+                        lin_enabled=True)
+    assert_same_winner(p, SolverConfig(tau_grid=GRID), solve_dense, may_skip=True)
 
 
 @pytest.mark.parametrize("idx", range(0, 200, 20))
@@ -98,11 +116,14 @@ def test_grid_split_into_chunks(monkeypatch):
     p = random_instance("qudo", 30, 3, 2, seed=5, lin_enabled=True)
     ch = chain_view(p, 2)
     cfg = SolverConfig(tau_grid=(0.1, 500.0, 11))
-    whole = [solve_matrix(ch, cfg), solve_waterfall(ch, cfg)]
+    dense = random_instance("qudo", 8, 3, 7, seed=5, lin_enabled=True)
+    whole = [solve_matrix(ch, cfg), solve_waterfall(ch, cfg), solve_dense(dense, cfg)]
     monkeypatch.setenv("QUDOTN_CHAIN_CAP", str(4 * 3 ** 2))  # 4 points a batch
+    monkeypatch.setenv("QUDOTN_DENSE_CAP", str(4 * 3 ** 7))  # and 4 for dense
     assert_same_winner(ch, cfg, solve_matrix)
     assert_same_waterfall(ch, cfg)
-    chunked = [solve_matrix(ch, cfg), solve_waterfall(ch, cfg)]
+    assert_same_winner(dense, cfg, solve_dense, may_skip=True)
+    chunked = [solve_matrix(ch, cfg), solve_waterfall(ch, cfg), solve_dense(dense, cfg)]
     for a, b in zip(whole, chunked):
         assert (a.assignment, a.cost, a.tau) == (b.assignment, b.cost, b.tau)
 
@@ -114,6 +135,12 @@ def test_driver_reports_winning_tau_once_per_grid():
     assert len({(tuple(o.assignment), o.cost, o.tau) for o in outs}) == 1
 
 
+def test_unknown_method_fails_before_any_work():
+    p = random_instance("qudo", 6, 2, 5, seed=1)  # k=1 would not fit its band
+    with pytest.raises(ValueError, match="unknown method"):
+        solve_instance(p, "bogus", SolverConfig(), k=1)
+
+
 def _overflowing_instance():
     """Variable 0 has costs -1e306 and +1e306: tau * cost leaves float range
     for tau > ~180."""
@@ -123,7 +150,6 @@ def _overflowing_instance():
     return Problem(kind="tqudo", n=8, d=2, qhat=qhat)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("method", ["matrix", "tensor", "waterfall", "dense"])
 def test_faulted_grid_points_are_listed(method):
     p = _overflowing_instance()
@@ -133,11 +159,10 @@ def test_faulted_grid_points_are_listed(method):
     assert [tau for tau, _ in out.skipped_taus] == [float(t) for t in taus if t > 180.0]
     overflow = "overflow: tau * cost leaves float range"
     assert all(msg.startswith(overflow) for _, msg in out.skipped_taus)
-    if method != "dense":
-        solve = {"matrix": solve_matrix, "tensor": solve_tensor,
-                 "waterfall": solve_waterfall}[method]
-        tau, ref = per_tau_loop(solve, chain_view(p, 1), cfg)
-        assert (out.assignment, out.cost, out.tau) == (ref.assignment, ref.cost, tau)
+    solve = {"matrix": solve_matrix, "tensor": solve_tensor,
+             "waterfall": solve_waterfall, "dense": solve_dense}[method]
+    tau, ref = per_tau_loop(solve, p if method == "dense" else chain_view(p, 1), cfg)
+    assert (out.assignment, out.cost, out.tau) == (ref.assignment, ref.cost, tau)
     with pytest.raises(NumericFaultError, match="^overflow"):
         solve_instance(p, method, replace(cfg, tau_grid=(200.0, 500.0, 4)))
     with pytest.raises(NumericFaultError, match="^overflow"):
