@@ -29,6 +29,7 @@ from .problem import ChainProblem, Problem, evaluate_cost
 from .tn_core import MarginalVector, SolverConfig, argmax_extract, normalize
 
 DEFAULT_CHAIN_CAP = 1 << 20  # max d**k message entries
+ROW_BLOCK = 32  # rows per block of row tables, so they hold O(1) rows in n
 
 
 class ChainFactors:
@@ -49,6 +50,10 @@ class ChainFactors:
     """
 
     def __init__(self, chain: ChainProblem, tau, faults: GridFaults | None = None):
+        self.d, self.k, self.n = chain.d, chain.k, chain.n
+        # the row tables of the last block built, the only one held: start
+        # row, E, W and per-row flags that every point's shift is finite
+        self._block = [None] * 4
         self.taus = np.asarray(tau, dtype=float)
         # tau > 0 and rounding is monotone, so tau * max|cost| bounds every
         # scaled cost and tau * min(cost) is exactly the minimum of the scaled
@@ -80,6 +85,43 @@ class ChainFactors:
     @cached_property
     def cf(self) -> np.ndarray:
         return np.exp(-self.cc)
+
+    def exponent(self, m: int, L: int) -> np.ndarray:
+        """Row m's exponent sc[m, z] + sum_j cc[m, j-1, z, digit_j(s)] over
+        the d**L states s of variables m+1..m+L: (..., d, d**L).  A row whose
+        window holds all d**k states reads its block's table E."""
+        if L < self.k:
+            return _row_exponent(self, m, L)
+        start = m - m % ROW_BLOCK
+        if self._block[0] != start:
+            rows = slice(start, min(start + ROW_BLOCK, self.n - self.k))
+            self._block = [start, _row_exponent(self, rows, L), None, None]
+        return self._block[1][..., m - start, :, :]
+
+    def weights(self, m: int) -> np.ndarray | None:
+        """W = exp(min E - E) for a row m with a full window, the min taken
+        per grid point over the row, as _stable_weights takes it for an
+        all-positive message; None when some point's min is not finite."""
+        self.exponent(m, self.k)
+        start, E, W, finite = self._block
+        if W is None:
+            shift = E.min(axis=(-2, -1), keepdims=True)
+            ok = np.isfinite(shift)
+            W = np.where(ok, shift, 0.0) - E
+            finite = ok.reshape(-1, ok.shape[-3]).all(axis=0)
+            self._block[2:] = np.exp(W, out=W), finite
+        return W[..., m - start, :, :] if finite[m - start] else None
+
+
+def _row_exponent(fac: ChainFactors, rows, L: int) -> np.ndarray:
+    """sc[rows, z] + sum_j cc[rows, j-1, z, digit_j(s)] for j = 1..L, summed
+    in that order; rows is one row or a slice of rows.  C-ordered, so that
+    sums over the states run in the same order for every row."""
+    digs = _digits(fac.d, L)
+    expo = fac.sc[..., rows, :, None]
+    for j in range(1, L + 1):
+        expo = expo + fac.cc[..., rows, j - 1, :, :][..., digs[j - 1]]
+    return np.ascontiguousarray(expo)
 
 
 class GridFaults:
@@ -194,11 +236,12 @@ def _transfer_flat(msg: MessageState | None, m: int, fac: ChainFactors,
     if msg is None:
         return MessageState(_normalize_msg(fac.sv[..., m, :], m, faults), m, 1, d)
     L = msg.length
-    digs = _digits(d, L)
-    expo = fac.sc[..., m, :, None]  # (d, 1), broadcast over the states
-    for j in range(1, L + 1):
-        expo = expo + fac.cc[..., m, j - 1, :, :][..., digs[j - 1]]
-    w = _stable_weights(expo, msg.entries[..., None, :], (-2, -1), faults)
+    values = msg.entries[..., None, :]
+    W = fac.weights(m) if L == k else None
+    if W is not None and (values > 0).all():
+        w = W * values  # what _stable_weights gives on this row
+    else:
+        w = _stable_weights(fac.exponent(m, L), values, (-2, -1), faults)
     if L == k and m + k <= n - 1:
         # drop variable m+k: most-significant digit of the old state
         w = w.reshape(w.shape[:-1] + (d, d ** (k - 1))).sum(axis=-2)
@@ -294,29 +337,25 @@ def _candidates_flat(chain: ChainProblem, fac: ChainFactors, m: int,
     """
     d, k = chain.d, chain.k
     K = len(tdig)
-    T = tdig[0].shape[-1] if K else 1
     if msg is None:
         L = 0
         entries = np.ones(1)
-        digs = []
     else:
         L = msg.length
         entries = msg.entries
-        digs = _digits(d, L)
-    states = d ** L
-    # total shifted cost exponent, one slab per predecessor combination
-    expo = np.zeros(fac.sc.shape[:-2] + (T, d, states))
-    expo += fac.sc[..., m, None, :, None]
-    for j in range(1, L + 1):
-        expo += fac.cc[..., m, j - 1, :, :][..., None, :, digs[j - 1]]
+    digs = _digits(d, L)
+    # total shifted cost exponent, one C-ordered slab per predecessor
+    # combination: the row's exponent plus the fixed crosses, in this order
+    expo = fac.exponent(m, L)[..., None, :, :]
     for i in range(1, L + 1):  # state variable m+i
         for j in range(i + 1, k + 1):
             l = m + i - j
             if 0 <= l <= m - 1:
                 rows = fac.cc[(*fac.points, l, j - 1, tdig[j - i - 1])]
-                expo += rows[..., :, None, digs[i - 1]]
+                expo = np.add(expo, rows[..., :, None, digs[i - 1]], order="C")
     for j in range(1, K + 1):
-        expo += fac.cc[(*fac.points, m - j, j - 1, tdig[j - 1])][..., None]
+        term = fac.cc[(*fac.points, m - j, j - 1, tdig[j - 1])][..., None]
+        expo = np.add(expo, term, order="C")
     # stabilize per predecessor combination: each row is only ever used for
     # an argmax or a normalized marginal, so a per-row positive rescale is
     # exact

@@ -136,29 +136,29 @@ def chain_view(p: Problem, k: int) -> ChainProblem:
     if k < 1:
         raise ValueError("k must be >= 1")
     keys = p.qhat if p.kind == "tqudo" else p.quad
-    for key in sorted(keys):
-        i, j = key[0], key[1]
-        if j - i > k:
-            raise NotAChainError((i, j), k)
+    width = 4 if p.kind == "tqudo" else 2
+    idx = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.intp,
+                      count=width * len(keys)).reshape(-1, width).T
+    i, j = idx[0], idx[1]
+    if (j - i > k).any():  # the first such key in sorted order is named
+        raise NotAChainError(min(key[:2] for key in keys if key[1] - key[0] > k), k)
     n, d = p.n, p.d
     diag = np.zeros((n, d))
     cross = np.zeros((n, k, d, d))
+    # keys are unique, so each fancy-indexed += adds to its slot once
+    value = np.fromiter(keys.values(), dtype=float, count=len(keys))
+    off = i != j
     if p.kind == "tqudo":
-        for (i, j, a, b), v in p.qhat.items():
-            if i == j:
-                if a == b:
-                    diag[i, a] += v
-            else:
-                cross[i, j - i - 1, a, b] += v
+        a, b = idx[2], idx[3]
+        on = ~off & (a == b)
+        diag[i[on], a[on]] += value[on]
+        cross[i[off], (j - i - 1)[off], a[off], b[off]] += value[off]
     else:
         vals = np.arange(d, dtype=float)
-        for (i, j), q in p.quad.items():
-            if i == j:
-                diag[i] += q * vals * vals
-            else:
-                cross[i, j - i - 1] += q * np.outer(vals, vals)
-        for i, dc in p.lin.items():
-            diag[i] += dc * vals
+        diag[i[~off]] += value[~off, None] * vals * vals
+        cross[i[off], (j - i - 1)[off]] += value[off, None, None] * np.outer(vals, vals)
+        lin = np.fromiter(p.lin.values(), dtype=float, count=len(p.lin))
+        diag[list(p.lin)] += lin[:, None] * vals
     return ChainProblem(problem=p, k=k, n=n, d=d, diag_cost=diag, cross_cost=cross)
 
 

@@ -15,11 +15,15 @@ from qudotn import (
     random_instance,
     solve_matrix,
     solve_tensor,
+    to_tqudo,
     transfer_operator_dense,
 )
-from qudotn.chain_solver import ChainFactors, marginal_matrix
+from qudotn.chain_solver import (ROW_BLOCK, ChainFactors, GridFaults,
+                                 MessageState, _candidates_flat, _normalize_msg,
+                                 _stable_weights, _transfer_flat, marginal_matrix)
 from qudotn.dense_solver import build_stair
 from qudotn.tn_core import SolverConfig
+from qudotn.waterfall import solve_waterfall
 
 
 def _cfg(tau):
@@ -220,3 +224,169 @@ class TestMarginalAssembly:
         m1 = marginal_matrix(chain_view(p1, 1), f1, 4, None, [0, 1, 0, 1])
         m2 = marginal_matrix(chain_view(p2, 1), f2, 4, None, [0, 1, 0, 1])
         assert np.allclose(m1, m2)
+
+
+# ---------------------------------------------------------------------------
+# Row tables against the per-row exponent sum they replace
+
+
+def _row_sum(fac, m, L, d):
+    """sc[m] + sum_j cc[m, j-1][:, digit_j(s)], one row at a time."""
+    states = np.arange(d ** L)
+    expo = fac.sc[..., m, :, None]
+    for j in range(1, L + 1):
+        expo = expo + fac.cc[..., m, j - 1, :, :][..., states // d ** (j - 1) % d]
+    return expo
+
+
+def _transfer_ref(msg, m, fac, chain, faults):
+    """One backward transfer step from the per-row exponent sum."""
+    d, k = chain.d, chain.k
+    L = msg.length
+    w = _stable_weights(_row_sum(fac, m, L, d), msg.entries[..., None, :], (-2, -1), faults)
+    if L == k and m + k <= chain.n - 1:
+        w = w.reshape(w.shape[:-1] + (d, d ** (k - 1))).sum(axis=-2)
+    new = np.swapaxes(w, -1, -2).reshape(w.shape[:-2] + (-1,))
+    return _normalize_msg(new, m, faults)
+
+
+def _candidates_ref(chain, fac, m, msg, tdig, faults):
+    """Candidate vectors of variable m from the per-row exponent sum, each
+    term added in place to a zeroed slab per predecessor combination."""
+    d, k = chain.d, chain.k
+    K = len(tdig)
+    T = tdig[0].shape[-1] if K else 1
+    L = msg.length
+    states = np.arange(d ** L)
+    digs = [states // d ** j % d for j in range(L)]
+    expo = np.zeros(fac.sc.shape[:-2] + (T, d, d ** L))
+    expo += _row_sum(fac, m, L, d)[..., None, :, :]
+    for i in range(1, L + 1):
+        for j in range(i + 1, k + 1):
+            l = m + i - j
+            if 0 <= l <= m - 1:
+                rows = fac.cc[(*fac.points, l, j - 1, tdig[j - i - 1])]
+                expo += rows[..., :, None, digs[i - 1]]
+    for j in range(1, K + 1):
+        expo += fac.cc[(*fac.points, m - j, j - 1, tdig[j - 1])][..., None]
+    w = _stable_weights(expo, msg.entries[..., None, None, :], (-2, -1), faults)
+    return w.sum(axis=-1)
+
+
+def _overflowing_row_instance():
+    """Variable 3 costs -1e306 at 0 and +1e306 at 1, and its crosses to
+    variable 4 cost +1e306 from 0 and -1e306 from 1: for tau in about
+    (90, 180) every shifted exponent of row 3 is +inf, and above that tau
+    * cost itself leaves float range."""
+    qhat = dict(to_tqudo(random_instance("qudo", 8, 2, 2, seed=3)).qhat)
+    qhat[(3, 3, 0, 0)] = -1e306
+    qhat[(3, 3, 1, 1)] = 1e306
+    for b in range(2):
+        qhat[(3, 4, 0, b)] = 1e306
+        qhat[(3, 4, 1, b)] = -1e306
+    return Problem(kind="tqudo", n=8, d=2, qhat=qhat)
+
+
+class TestRowTables:
+    TAUS = np.array([0.5, 5.0, 50.0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [ROW_BLOCK // 2, ROW_BLOCK + 1, ROW_BLOCK + 4,
+                                   2 * ROW_BLOCK + 7])
+    def test_exponent_equals_per_row_sum(self, n, k):
+        # n = ROW_BLOCK + k gives exactly one full block of full-window rows
+        ch = chain_view(random_instance("qudo", n, 2, k, seed=n + k, lin_enabled=True), k)
+        for tau in (self.TAUS, 50.0):
+            fac = ChainFactors(ch, tau)
+            # down, then up: each block is rebuilt once per direction
+            for m in list(range(n - 1, -1, -1)) + list(range(n)):
+                L = min(n - 1 - m, k)
+                ref = _row_sum(fac, m, L, 2)
+                assert fac.exponent(m, L).tobytes() == ref.tobytes(), (m, L)
+                if L == k:
+                    ones = np.ones(2 ** k)
+                    assert fac.weights(m).tobytes() == _stable_weights(
+                        ref, ones, (-2, -1)).tobytes(), m
+        assert n - k <= ROW_BLOCK or fac._block[0] > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_message_with_zero_entries(self, k):
+        """The masked _stable_weights branch, in both kernels."""
+        ch = chain_view(random_instance("qudo", 10, 3, k, seed=k, lin_enabled=True), k)
+        fac = ChainFactors(ch, self.TAUS)
+        msgs = {m.origin: m for m in backward_pass_matrix(ch, _cfg(1.0), fac)}
+        x = np.zeros((len(self.TAUS), ch.n), dtype=np.intp)
+        x[:, ::2] = 1
+        for m in range(ch.n - 1):
+            nxt = msgs[m + 1]
+            entries = nxt.entries.copy()
+            entries[:, ::2] = 0.0
+            msg = MessageState(entries, nxt.origin, nxt.length, nxt.d)
+            got, want = GridFaults(len(self.TAUS)), GridFaults(len(self.TAUS))
+            if m > 0:
+                new = _transfer_flat(msg, m, fac, ch, got)
+                assert new.entries.tobytes() == _transfer_ref(msg, m, fac, ch, want).tobytes()
+            tdig = [x[:, m - 1 - j, None] for j in range(min(k, m))]
+            assert (_candidates_flat(ch, fac, m, msg, tdig, got).tobytes()
+                    == _candidates_ref(ch, fac, m, msg, tdig, want).tobytes())
+            assert got.messages == want.messages == [None] * len(self.TAUS)
+
+    def test_row_whose_shift_is_not_finite(self):
+        """A row with no finite exponent at some grid points: those points
+        fault in both kernels, and the others keep the per-row result."""
+        ch = chain_view(_overflowing_row_instance(), 2)
+        taus = np.array([1.0, 100.0, 150.0, 300.0])
+        faults = GridFaults(len(taus))
+        fac = ChainFactors(ch, taus, faults)
+        assert fac.weights(3) is None and fac.weights(2) is not None
+        msgs = {m.origin: m for m in backward_pass_matrix(ch, _cfg(1.0), fac, faults)}
+        x = np.zeros((len(taus), ch.n), dtype=np.intp)
+        for m in range(1, ch.n - 1):
+            got, want = GridFaults(len(taus)), GridFaults(len(taus))
+            new = _transfer_flat(msgs[m + 1], m, fac, ch, got)
+            assert new.entries.tobytes() == _transfer_ref(
+                msgs[m + 1], m, fac, ch, want).tobytes()
+            assert got.messages == want.messages
+            tdig = [x[:, m - 1 - j, None] for j in range(min(2, m))]
+            assert (_candidates_flat(ch, fac, m, msgs[m + 1], tdig, got).tobytes()
+                    == _candidates_ref(ch, fac, m, msgs[m + 1], tdig, want).tobytes())
+        underflow = "underflow: all weighted states vanished"
+        assert faults.messages[0] is None
+        assert all(msg.startswith(underflow) for msg in faults.messages[1:3])
+        assert faults.messages[3].startswith("overflow")
+
+    @pytest.mark.parametrize("solve", [solve_matrix, solve_waterfall])
+    def test_tables_held_stay_within_one_block(self, solve, monkeypatch):
+        """What ChainFactors holds besides its factor tables stays within
+        ROW_BLOCK rows of G * d**(k+1) entries per table (E and W, plus a
+        flag per row), for any n."""
+        n, grid = 3000, (0.1, 500.0, 100)
+        ch = chain_view(Problem(kind="qudo", n=n, d=2, quad={}), 1)
+        bound = ROW_BLOCK * grid[2] * 2 ** 2
+        largest, total = [], []
+
+        def held(fac):
+            base = {id(fac.taus), id(fac.sc), id(fac.cc), id(fac.sv)}
+            stack = [v for key, v in vars(fac).items() if key not in ("cf", "points")]
+            sizes = []
+            while stack:
+                value = stack.pop()
+                if isinstance(value, dict):
+                    stack.extend(value.values())
+                elif isinstance(value, (list, tuple)):
+                    stack.extend(value)
+                elif isinstance(value, np.ndarray) and id(value) not in base:
+                    sizes.append(value.size)
+            largest.append(max(sizes, default=0))
+            total.append(sum(sizes))
+
+        for name in ("exponent", "weights"):
+            def probe(fac, *args, _original=getattr(ChainFactors, name)):
+                out = _original(fac, *args)
+                held(fac)
+                return out
+            monkeypatch.setattr(ChainFactors, name, probe)
+        res = solve(ch, SolverConfig(tau_grid=grid))
+        assert res.assignment == [0] * n
+        assert max(largest) == bound
+        assert max(total) <= 2 * bound + ROW_BLOCK

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qudotn import (
     InstanceFormatError,
@@ -93,6 +94,81 @@ class TestChainView:
         if p.bandwidth == 3:
             with pytest.raises(NotAChainError):
                 chain_view(p, 2)
+
+
+def _chain_view_loop(p, k):
+    """The per-key loop that chain_view's array indexing replaces."""
+    keys = p.qhat if p.kind == "tqudo" else p.quad
+    for key in sorted(keys):
+        if key[1] - key[0] > k:
+            raise NotAChainError(key[:2], k)
+    diag = np.zeros((p.n, p.d))
+    cross = np.zeros((p.n, k, p.d, p.d))
+    if p.kind == "tqudo":
+        for (i, j, a, b), v in p.qhat.items():
+            if i == j:
+                if a == b:
+                    diag[i, a] += v
+            else:
+                cross[i, j - i - 1, a, b] += v
+    else:
+        vals = np.arange(p.d, dtype=float)
+        for (i, j), q in p.quad.items():
+            if i == j:
+                diag[i] += q * vals * vals
+            else:
+                cross[i, j - i - 1] += q * np.outer(vals, vals)
+        for i, dc in p.lin.items():
+            diag[i] += dc * vals
+    return diag, cross
+
+
+@st.composite
+def _problems(draw):
+    kind = draw(st.sampled_from(["qubo", "qudo", "tqudo"]))
+    n = draw(st.integers(1, 7))
+    d = 2 if kind == "qubo" else draw(st.integers(2, 4))
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, -1e-300]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .map(sorted).map(tuple), unique=True, max_size=12))
+    if kind == "tqudo":
+        keys = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(0, d - 1),
+                                       st.integers(0, d - 1)), unique=True, max_size=30)
+                    if pairs else st.just([]))
+        qhat = {(i, j, a, b): draw(value) for (i, j), a, b in keys}
+        return Problem(kind=kind, n=n, d=d, qhat=qhat)
+    quad = {key: draw(value) for key in pairs}
+    lin = {}
+    if kind == "qudo" and draw(st.booleans()):
+        lin = {i: draw(value) for i in draw(st.sets(st.integers(0, n - 1)))}
+    return Problem(kind=kind, n=n, d=d, quad=quad, lin=lin)
+
+
+class TestChainViewArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(_problems(), st.data())
+    def test_same_arrays_as_the_per_key_loop(self, p, data):
+        width = max(p.bandwidth, 1)
+        k = data.draw(st.integers(width, max(p.n - 1, width)))
+        diag, cross = _chain_view_loop(p, k)
+        ch = chain_view(p, k)
+        assert ch.diag_cost.tobytes() == diag.tobytes()
+        assert ch.cross_cost.tobytes() == cross.tobytes()
+        if p.bandwidth > 1:
+            below = data.draw(st.integers(1, p.bandwidth - 1))
+            with pytest.raises(NotAChainError) as want:
+                _chain_view_loop(p, below)
+            with pytest.raises(NotAChainError) as got:
+                chain_view(p, below)
+            assert (got.value.pair, str(got.value)) == (want.value.pair, str(want.value))
+
+    @pytest.mark.parametrize("kind", ["qubo", "qudo", "tqudo"])
+    def test_no_keys(self, kind):
+        for n in (1, 3):
+            p = Problem(kind=kind, n=n, d=2)
+            ch = chain_view(p, 1)
+            assert ch.diag_cost.tobytes() == np.zeros((n, 2)).tobytes()
+            assert ch.cross_cost.tobytes() == np.zeros((n, 1, 2, 2)).tobytes()
 
 
 class TestRandomInstance:
