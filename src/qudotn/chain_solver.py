@@ -7,7 +7,10 @@ digit arithmetic (state t = sum_j d**j * value_j).  The tensor method's
 boundary tensors are these messages, reshaped (see solve_tensor).
 
 Backward messages run from the last variable toward the first; variables are
-then determined first-to-last, ties going to the lowest index.
+then determined first-to-last, ties going to the lowest index.  Where a
+row's candidates for all d**k predecessor combinations are small, the
+forward pass builds them for a block of rows at once, as the waterfall's
+tables, and walks them; otherwise it takes one variable at a time.
 
 One pass solves a whole tau grid: factor tables built from an array of G tau
 values carry a leading grid axis, and every kernel below then advances all G
@@ -30,6 +33,7 @@ from .tn_core import MarginalVector, SolverConfig, argmax_extract, normalize
 
 DEFAULT_CHAIN_CAP = 1 << 20  # max d**k message entries
 ROW_BLOCK = 32  # rows per block of row tables, so they hold O(1) rows in n
+BLOCK_CELLS = 512  # most G * d**(2k+1) candidate cells per row for block forward
 
 
 class ChainFactors:
@@ -86,17 +90,19 @@ class ChainFactors:
     def cf(self) -> np.ndarray:
         return np.exp(-self.cc)
 
-    def exponent(self, m: int, L: int) -> np.ndarray:
+    def exponent(self, m: int | slice, L: int) -> np.ndarray:
         """Row m's exponent sc[m, z] + sum_j cc[m, j-1, z, digit_j(s)] over
         the d**L states s of variables m+1..m+L: (..., d, d**L).  A row whose
-        window holds all d**k states reads its block's table E."""
+        window holds all d**k states reads its block's table E, and so can a
+        slice m of such rows inside one block: (..., B, d, d**L)."""
         if L < self.k:
             return _row_exponent(self, m, L)
-        start = m - m % ROW_BLOCK
+        first = m.start if isinstance(m, slice) else m
+        start = first - first % ROW_BLOCK
         if self._block[0] != start:
             rows = slice(start, min(start + ROW_BLOCK, self.n - self.k))
             self._block = [start, _row_exponent(self, rows, L), None, None]
-        return self._block[1][..., m - start, :, :]
+        return self._block[1][..., _offset(m, -start), :, :]
 
     def weights(self, m: int) -> np.ndarray | None:
         """W = exp(min E - E) for a row m with a full window, the min taken
@@ -111,6 +117,13 @@ class ChainFactors:
             finite = ok.reshape(-1, ok.shape[-3]).all(axis=0)
             self._block[2:] = np.exp(W, out=W), finite
         return W[..., m - start, :, :] if finite[m - start] else None
+
+
+def _offset(m: int | slice, shift: int):
+    """Row m, or the slice m of rows, moved by shift."""
+    if isinstance(m, slice):
+        return slice(m.start + shift, m.stop + shift)
+    return m + shift
 
 
 def _row_exponent(fac: ChainFactors, rows, L: int) -> np.ndarray:
@@ -323,7 +336,7 @@ def transfer_operator_dense(chain: ChainProblem, m: int, tau: float) -> np.ndarr
     return op
 
 
-def _candidates_flat(chain: ChainProblem, fac: ChainFactors, m: int,
+def _candidates_flat(chain: ChainProblem, fac: ChainFactors, m: int | slice,
                      msg: MessageState | None, tdig: list,
                      faults: GridFaults | None = None) -> np.ndarray:
     """Marginal-style candidate vectors for variable m, one row per
@@ -334,6 +347,10 @@ def _candidates_flat(chain: ChainProblem, fac: ChainFactors, m: int,
     computation contracts the next backward message with variable m's local
     factors, the fixed crosses into m, and the fixed crosses that skip over m
     into later state variables (those exist only for k > 1).
+
+    m may also be a slice of rows m >= k inside one row block, whose windows
+    all hold d**k states: msg.entries then carries their messages on a row
+    axis after the grid axis, tdig is shared, and the result is (..., B, T, d).
     """
     d, k = chain.d, chain.k
     K = len(tdig)
@@ -349,18 +366,25 @@ def _candidates_flat(chain: ChainProblem, fac: ChainFactors, m: int,
     expo = fac.exponent(m, L)[..., None, :, :]
     for i in range(1, L + 1):  # state variable m+i
         for j in range(i + 1, k + 1):
-            l = m + i - j
-            if 0 <= l <= m - 1:
-                rows = fac.cc[(*fac.points, l, j - 1, tdig[j - i - 1])]
+            if j - i <= K:  # predecessor m+i-j exists
+                rows = _fixed_cross(fac, m, i - j, j, tdig[j - i - 1])
                 expo = np.add(expo, rows[..., :, None, digs[i - 1]], order="C")
     for j in range(1, K + 1):
-        term = fac.cc[(*fac.points, m - j, j - 1, tdig[j - 1])][..., None]
+        term = _fixed_cross(fac, m, -j, j, tdig[j - 1])[..., None]
         expo = np.add(expo, term, order="C")
     # stabilize per predecessor combination: each row is only ever used for
     # an argmax or a normalized marginal, so a per-row positive rescale is
     # exact
     w = _stable_weights(expo, entries[..., None, None, :], (-2, -1), faults)
     return w.sum(axis=-1)
+
+
+def _fixed_cross(fac: ChainFactors, m: int | slice, shift: int, j: int, a) -> np.ndarray:
+    """cc[m+shift, j-1, a, :] for the predecessor values a of each
+    combination: (..., T, d), or (..., B, T, d) for a slice m of rows."""
+    if isinstance(m, slice):
+        return fac.cc[..., _offset(m, shift), j - 1, :, :][..., a, :]
+    return fac.cc[(*fac.points, m + shift, j - 1, a)]
 
 
 def marginal_matrix(chain: ChainProblem, fac: ChainFactors, m: int,
@@ -410,7 +434,10 @@ def solve_grid(p: Problem, cfg: SolverConfig, size: int, solve_batch):
     best, skipped = None, []
     known: dict = {}  # grid points often agree, so cost each assignment once
     for start in range(0, len(taus), size):
-        xs, messages, finish = solve_batch(taus[start:start + size])
+        # exponent sums may overflow to +inf, which is the right exponent:
+        # its weight is 0, and states with no finite exponent left fault
+        with np.errstate(over="ignore"):
+            xs, messages, finish = solve_batch(taus[start:start + size])
         for g, (x, message) in enumerate(zip(xs, messages)):
             tau = float(taus[start + g])
             if message is not None:
@@ -433,24 +460,80 @@ def solve_grid(p: Problem, cfg: SolverConfig, size: int, solve_batch):
 def solve_matrix(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:
     """Transfer-matrix solve: one backward pass, then per-variable argmax.
 
-    With cfg.tau_grid set, one pass serves the whole grid and the best point
-    wins (see solve_grid).
+    The forward pass takes the full-window rows a row block at a time when a
+    row's candidates for every predecessor combination are small (G *
+    d**(2k+1) cells at most BLOCK_CELLS), and one variable at a time
+    otherwise; both give the same bytes.  With cfg.tau_grid set, one pass
+    serves the whole grid and the best point wins (see solve_grid).
     """
+    d, k, n = chain.d, chain.k, chain.n
+
     def solve_batch(taus):
         faults = GridFaults(len(taus))
         fac = ChainFactors(chain, taus, faults)
         msgs = backward_pass_matrix(chain, cfg, fac, faults)
         by_origin = {msg.origin: msg for msg in msgs}
-        x = np.zeros((len(taus), chain.n), dtype=np.intp)
+        x = np.zeros((len(taus), n), dtype=np.intp)
+        blocks = len(taus) * d ** (2 * k + 1) <= BLOCK_CELLS
         margs = []
-        for m in range(chain.n):
-            vec = marginal_matrix(chain, fac, m, by_origin.get(m + 1), x, faults)
-            vec = _normalize_msg(vec, m, faults)
-            margs.append(vec)
-            x[:, m] = _argmax(vec, faults)
+        m = 0
+        while m < n:
+            stop = m + 1
+            if blocks and k <= m < n - k:
+                stop = min(m - m % ROW_BLOCK + ROW_BLOCK, n - k)
+                block = _forward_block(chain, fac, slice(m, stop), by_origin, x)
+                if block is not None:
+                    margs += block
+                    m = stop
+                    continue
+            for r in range(m, stop):
+                vec = marginal_matrix(chain, fac, r, by_origin.get(r + 1), x, faults)
+                vec = _normalize_msg(vec, r, faults)
+                margs.append(vec)
+                x[:, r] = _argmax(vec, faults)
+            m = stop
         return x, faults.messages, _chain_finish(x, margs, len(msgs))
 
     return solve_grid(chain.problem, cfg, _check_chain_capacity(chain), solve_batch)
+
+
+def _forward_block(chain: ChainProblem, fac: ChainFactors, rows: slice,
+                   by_origin: dict, x: np.ndarray) -> list | None:
+    """Fill x[:, rows] and return their (G, d) marginals, as the
+    per-variable route would, from one candidate table for the block.
+
+    The table holds every row's normalized candidates for all d**k
+    predecessor combinations; a walk then reads each row's realised
+    combination t, encoded as in the waterfall's tables, moving on with
+    t <- x_m + d * (t mod d**(k-1)).  When any combination faults,
+    realised or not, x is left as it was and None returned, so that the
+    per-variable route faults only where a realised one does.
+    """
+    d, k = chain.d, chain.k
+    G, B = len(x), rows.stop - rows.start
+    entries = np.stack([by_origin[m + 1].entries for m in range(rows.start, rows.stop)], axis=-2)
+    try:
+        cand = _candidates_flat(chain, fac, rows, MessageState(entries, rows.start + 1, k, d),
+                                _digits(d, k))
+        cand = normalize(cand, axis=-1)[0]
+        best = argmax_extract(cand)
+    except NumericFaultError:
+        return None
+    # successor[g][r][t]: row r+1's combination when row r's is t.  The walk
+    # is one list lookup per row and point, cheaper on Python ints than as
+    # numpy calls on G entries
+    starts = sum(x[:, rows.start - 1 - j] * d ** j for j in range(k)).tolist()
+    successor = (best + d * (np.arange(d ** k) % d ** (k - 1))).tolist()
+    combos = []
+    for t, table in zip(starts, successor):
+        path = []
+        for row in table:
+            path.append(t)
+            t = row[t]
+        combos.append(path)
+    realised = (np.arange(G), np.arange(B)[:, None], np.array(combos).T)  # (B, G) rows first
+    x[:, rows] = best[realised].T
+    return list(cand[realised])
 
 
 def solve_tensor(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:

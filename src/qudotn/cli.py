@@ -151,6 +151,9 @@ def cmd_compare(args) -> int:
 def cmd_bench_scaling(args) -> int:
     if not args.values:
         raise ValueError("empty sweep range")
+    if args.repeats < 1:
+        raise ValueError("need at least one repeat")
+    cfg = SolverConfig(tau=args.tau)
     fixed = {"n": args.n, "d": args.d, "k": args.k}
     rows = []
     for value in args.values:
@@ -162,7 +165,6 @@ def cmd_bench_scaling(args) -> int:
             for rep in range(args.repeats):
                 p = random_instance("qudo", params["n"], params["d"],
                                     params["k"], args.seed + rep)
-                cfg = SolverConfig(tau=args.tau)
                 start = time.perf_counter()
                 out = solve_instance(p, method, cfg, k=params["k"])
                 times.append(time.perf_counter() - start)
@@ -176,6 +178,7 @@ def cmd_bench_scaling(args) -> int:
 def cmd_waterfall_prob(args) -> int:
     if args.instances < 1:
         raise ValueError("need at least one instance per d value")
+    cfg = SolverConfig(tau=args.tau, tau_grid=args.tau_grid)
     rows = []
     for d in args.d_range:
         probs = []
@@ -186,7 +189,6 @@ def cmd_waterfall_prob(args) -> int:
                             quad={(i, i): 0.0 for i in range(args.n)})
             else:
                 p = random_instance("qudo", args.n, d, 1, seed)
-            cfg = SolverConfig(tau=args.tau, tau_grid=args.tau_grid)
             out = solve_instance(p, "waterfall", cfg, k=1)
             probs.append(out.stats.w_prob)
         mean = float(np.mean(probs))

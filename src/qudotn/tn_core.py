@@ -34,12 +34,12 @@ class SolverConfig:
     keep_trace: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:  # nan fails too
+            raise ValueError("tau must be positive and finite")
         if self.tau_grid is not None:
             lo, hi, count = self.tau_grid
-            if not (0 < lo < hi and count >= 1):
-                raise ValueError("tau_grid needs 0 < min < max and count >= 1")
+            if not (0 < lo < hi < math.inf and count >= 1):
+                raise ValueError("tau_grid needs 0 < min < max < inf and count >= 1")
 
     def taus(self) -> np.ndarray:
         """The tau values a solve covers: the grid when set, else tau alone."""

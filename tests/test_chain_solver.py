@@ -7,6 +7,7 @@ import pytest
 
 from qudotn import (
     CapacityError,
+    NumericFaultError,
     Problem,
     backward_pass_matrix,
     brute_force,
@@ -18,12 +19,16 @@ from qudotn import (
     to_tqudo,
     transfer_operator_dense,
 )
-from qudotn.chain_solver import (ROW_BLOCK, ChainFactors, GridFaults,
-                                 MessageState, _candidates_flat, _normalize_msg,
-                                 _stable_weights, _transfer_flat, marginal_matrix)
+from qudotn import chain_solver
+from qudotn.chain_solver import (BLOCK_CELLS, ROW_BLOCK, ChainFactors, GridFaults,
+                                 MessageState, _argmax, _candidates_flat,
+                                 _chain_finish, _check_chain_capacity,
+                                 _normalize_msg, _stable_weights, _transfer_flat,
+                                 marginal_matrix, solve_grid)
 from qudotn.dense_solver import build_stair
 from qudotn.tn_core import SolverConfig
 from qudotn.waterfall import solve_waterfall
+from test_tau_batch import _overflowing_instance
 
 
 def _cfg(tau):
@@ -390,3 +395,199 @@ class TestRowTables:
         assert res.assignment == [0] * n
         assert max(largest) == bound
         assert max(total) <= 2 * bound + ROW_BLOCK
+
+
+# ---------------------------------------------------------------------------
+# Block forward route against the per-variable loop
+
+
+def _per_variable_batch(chain, cfg, seen):
+    """solve_matrix's batch with every variable taken one at a time, as
+    marginal_matrix, then _normalize_msg, then _argmax; appends each batch's
+    (x, marginals) to seen."""
+    def solve_batch(taus):
+        faults = GridFaults(len(taus))
+        fac = ChainFactors(chain, taus, faults)
+        msgs = chain_solver.backward_pass_matrix(chain, cfg, fac, faults)
+        by_origin = {msg.origin: msg for msg in msgs}
+        x = np.zeros((len(taus), chain.n), dtype=np.intp)
+        margs = []
+        for m in range(chain.n):
+            vec = marginal_matrix(chain, fac, m, by_origin.get(m + 1), x, faults)
+            vec = _normalize_msg(vec, m, faults)
+            margs.append(vec)
+            x[:, m] = _argmax(vec, faults)
+        seen.append((x, margs))
+        return x, faults.messages, _chain_finish(x, margs, len(msgs))
+    return solve_batch
+
+
+def _marginal_bytes(margs):
+    return [np.ascontiguousarray(v).tobytes() for v in margs]
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except NumericFaultError as exc:
+        return str(exc)
+
+
+def assert_same_as_per_variable(monkeypatch, ch, cfg):
+    """solve_matrix gives the per-variable loop's bytes: the winner's
+    assignment, cost, tau, skipped points and marginals (or the same fault
+    when every point faults), and every grid point's assignment and
+    marginals.  Returns the result."""
+    got, seen = [], []
+
+    def spy(x, margs, held):
+        got.append((x.copy(), margs))
+        return _chain_finish(x, margs, held)
+
+    monkeypatch.setattr(chain_solver, "_chain_finish", spy)
+    res = _outcome(lambda: solve_matrix(ch, cfg))
+    ref = _outcome(lambda: solve_grid(ch.problem, cfg, _check_chain_capacity(ch),
+                                      _per_variable_batch(ch, cfg, seen)))
+    if isinstance(ref, str):
+        assert res == ref
+    else:
+        assert (res.assignment, res.cost, res.tau, res.skipped_taus) == (
+            ref.assignment, ref.cost, ref.tau, ref.skipped_taus)
+        assert (_marginal_bytes(v.entries for v in res.marginals)
+                == _marginal_bytes(v.entries for v in ref.marginals))
+    assert len(got) == len(seen)
+    for (x, margs), (x_ref, margs_ref) in zip(got, seen):
+        assert x.tobytes() == x_ref.tobytes()
+        assert _marginal_bytes(margs) == _marginal_bytes(margs_ref)
+    return res
+
+
+def _cross_wall_instance(n, k, m):
+    """Variable m-1 at 1 costs +1e306 against every value of m, and at 0
+    -1e306: for tau in about (90, 180) the shifted cross into m is +inf from
+    x[m-1] = 1, so row m's candidates for that predecessor have no finite
+    exponent, while the realised x[m-1] = 0 keeps them finite."""
+    qhat = dict(to_tqudo(random_instance("qudo", n, 2, k, seed=n + k)).qhat)
+    for b in range(2):
+        qhat[(m - 1, m, 0, b)] = -1e306
+        qhat[(m - 1, m, 1, b)] = 1e306
+    return Problem(kind="tqudo", n=n, d=2, qhat=qhat)
+
+
+class TestBlockForward:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [ROW_BLOCK + 1, ROW_BLOCK + 4, 2 * ROW_BLOCK + 7])
+    @pytest.mark.parametrize("tau", [50.0, (0.5, 200.0, 2), (0.1, 500.0, 5)])
+    def test_matches_per_variable_loop(self, monkeypatch, n, k, tau):
+        p = random_instance("qudo", n, 2, k, seed=10 * n + k, lin_enabled=True)
+        cfg = SolverConfig(tau_grid=tau) if isinstance(tau, tuple) else _cfg(tau)
+        assert_same_as_per_variable(monkeypatch, chain_view(p, k), cfg)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_d3_and_tqudo(self, monkeypatch, k):
+        p = random_instance("tqudo", ROW_BLOCK + 5, 3, k, seed=k)
+        for cfg in (_cfg(10.0), SolverConfig(tau_grid=(1.0, 100.0, 2))):
+            assert_same_as_per_variable(monkeypatch, chain_view(p, k), cfg)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_messages_with_zero_entries(self, monkeypatch, k):
+        """Every other entry of every backward message is zero, so each
+        block takes the masked stabilisation."""
+        backward = chain_solver.backward_pass_matrix
+
+        def zeroed(*args):
+            msgs = backward(*args)
+            for msg in msgs:
+                msg.entries[..., ::2] = 0.0
+            return msgs
+
+        p = random_instance("qudo", ROW_BLOCK + 9, 2, k, seed=k, lin_enabled=True)
+        monkeypatch.setattr(chain_solver, "backward_pass_matrix", zeroed)
+        for cfg in (_cfg(5.0), SolverConfig(tau_grid=(0.5, 50.0, 3))):
+            res = assert_same_as_per_variable(monkeypatch, chain_view(p, k), cfg)
+            assert res.skipped_taus == []
+
+    @pytest.mark.parametrize("k, instance", [(1, _overflowing_instance),
+                                             (2, _overflowing_row_instance)])
+    def test_overflowing_instances(self, monkeypatch, k, instance):
+        ch = chain_view(instance(), k)
+        res = assert_same_as_per_variable(
+            monkeypatch, ch, SolverConfig(tau_grid=(0.1, 500.0, 12)))
+        assert res.skipped_taus
+        for tau in (1.0, 100.0, 150.0, 300.0):
+            assert_same_as_per_variable(monkeypatch, ch, _cfg(tau))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unrealised_combination_without_finite_exponent(self, monkeypatch, k):
+        """Only the realised combination decides whether a point faults: a
+        row whose candidates for an unrealised predecessor value all vanish
+        leaves the point solved, as the per-variable route does."""
+        m = ROW_BLOCK + 3
+        ch = chain_view(_cross_wall_instance(2 * ROW_BLOCK, k, m), k)
+        vanished = []
+        candidates = chain_solver._candidates_flat
+
+        def spy(chain, fac, rows, *args):
+            try:
+                return candidates(chain, fac, rows, *args)
+            except NumericFaultError:
+                vanished.append((rows.start, rows.stop))
+                raise
+
+        monkeypatch.setattr(chain_solver, "_candidates_flat", spy)
+        for cfg in (_cfg(100.0), _cfg(150.0), SolverConfig(tau_grid=(1.0, 150.0, 8))):
+            vanished.clear()
+            res = assert_same_as_per_variable(monkeypatch, ch, cfg)
+            assert res.skipped_taus == []
+            assert res.assignment[m - 1] == 0
+            # the block holding row m met the vanished candidates
+            assert vanished == [(ROW_BLOCK, 2 * ROW_BLOCK - k)]
+
+
+class TestForwardRoute:
+    """Which rows go through marginal_matrix, and how large a block gets."""
+
+    def _count(self, monkeypatch):
+        calls = []
+        original = chain_solver.marginal_matrix
+
+        def counted(chain, fac, m, *args):
+            calls.append(m)
+            return original(chain, fac, m, *args)
+
+        monkeypatch.setattr(chain_solver, "marginal_matrix", counted)
+        return calls
+
+    def test_long_chain_uses_blocks(self, monkeypatch):
+        n, k = 500, 2
+        calls = self._count(monkeypatch)
+        solve_matrix(chain_view(random_instance("qudo", n, 2, k, seed=1, lin_enabled=True), k),
+                     _cfg(50.0))
+        assert calls == [0, 1, n - 2, n - 1]
+
+    def test_wide_window_goes_per_variable(self, monkeypatch):
+        n, k = 20, 4
+        calls = self._count(monkeypatch)
+        solve_matrix(chain_view(random_instance("tqudo", n, 3, k, seed=1), k), _cfg(50.0))
+        assert calls == list(range(n))
+
+    @pytest.mark.parametrize("points, blocks", [(BLOCK_CELLS // 8, True),
+                                                (BLOCK_CELLS // 8 + 1, False)])
+    def test_block_size_is_bounded(self, monkeypatch, points, blocks):
+        """d = 2, k = 1: 8 cells per row and grid point, so 64 points are
+        the most a block takes; its candidate exponents then fill
+        ROW_BLOCK * BLOCK_CELLS entries and never more."""
+        sizes = []
+
+        def spy(exponent, *args):
+            sizes.append(exponent.size)
+            return _stable_weights(exponent, *args)
+
+        calls = self._count(monkeypatch)
+        monkeypatch.setattr(chain_solver, "_stable_weights", spy)
+        n = 3 * ROW_BLOCK
+        p = random_instance("qudo", n, 2, 1, seed=2)
+        solve_matrix(chain_view(p, 1), SolverConfig(tau_grid=(0.1, 500.0, points)))
+        assert max(sizes) <= ROW_BLOCK * BLOCK_CELLS
+        assert (max(sizes) == ROW_BLOCK * BLOCK_CELLS) == blocks
+        assert len(calls) == (2 if blocks else n)

@@ -3,6 +3,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qudotn import ConfigError, SolverConfig, parse_instance, solve_instance
 from qudotn.cli import COMPARE_COLUMNS, main, relative_error
@@ -80,6 +82,17 @@ class TestSolve:
                            "dense")
         assert code == 1
         assert err.startswith("ERROR capacity:")
+
+    @pytest.mark.parametrize("flags", [
+        ("--tau", "nan"), ("--tau", "inf"), ("--tau=-inf",), ("--tau", "0"),
+        ("--tau-grid", "0.1,inf,5"), ("--tau-grid", "nan,500,5"),
+        ("--tau-grid", "0.1,nan,5"), ("--tau-grid=-inf,500,5",)])
+    def test_non_finite_tau_usage_error(self, tmp_path, capsys, flags):
+        path = write_instance(tmp_path, EXAMPLE)
+        code, out, err = run(capsys, "solve", "--input", path, "--method",
+                             "matrix", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR usage: tau")
 
     def test_chain_incompatibility_error(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"kind": "qudo", "n": 5, "d": 2,
@@ -169,6 +182,25 @@ class TestBenchScaling:
                            "--values", "")
         assert code == 2 and err.startswith("ERROR")
 
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_usage_error(self, tmp_path, capsys, repeats):
+        out_csv = tmp_path / "bench.csv"
+        code, _, err = run(capsys, "bench-scaling", "--axis", "n", "--values",
+                           "6", "--repeats", repeats, "--output", str(out_csv))
+        assert code == 2 and err == "ERROR usage: need at least one repeat\n"
+        assert not out_csv.exists()
+
+
+    @pytest.mark.parametrize("method", ["matrix", "tensor", "waterfall", "dense"])
+    def test_exponent_overflow_is_a_fault_not_a_warning(self, capsys, method):
+        """At tau = 1e308 every tau * cost is finite, but sums of shifted
+        costs overflow to +inf: a numeric fault, with no numpy warning."""
+        code, _, err = run(capsys, "bench-scaling", "--axis", "n", "--values",
+                           "5,8", "--repeats", "1", "--tau", "1e308",
+                           "--methods", method)
+        assert code == 1 and err.startswith("ERROR numeric-fault: ")
+        assert "Warning" not in err
+
 
 class TestWaterfallProb:
     def test_decoupled_rows_are_one(self, tmp_path, capsys):
@@ -194,3 +226,50 @@ class TestWaterfallProb:
         assert code == 0
         rows = list(csv.reader(out_csv.read_text().splitlines()))
         assert 0.0 <= float(rows[1][3]) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Numeric flags, fuzzed
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "inst.json").write_text(json.dumps(
+        {"kind": "qudo", "n": 6, "d": 2,
+         "q": [[i, i + 1, (-1.0) ** i * 0.5] for i in range(5)]}))
+    return path
+
+
+TAUS = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                  0.0, -0.0, -1.0, 5e-324, 0.5, 50.0, 500.0,
+                                  1e308]),
+                 st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau=TAUS, lo=TAUS, hi=TAUS, count=st.integers(-1, 4),
+       repeats=st.integers(-2, 2),
+       command=st.sampled_from(["solve", "grid", "bench-scaling", "waterfall-prob"]))
+def test_numeric_flags_fuzz(fuzz_dir, tau, lo, hi, count, repeats, command):
+    """Whatever numbers the flags carry, the CLI ends with an exit code
+    (never a traceback, a warning turned error, or nan in a CSV)."""
+    out_csv = fuzz_dir / "out.csv"
+    if out_csv.exists():
+        out_csv.unlink()
+    inst = str(fuzz_dir / "inst.json")
+    argv = {
+        "solve": ["solve", "--input", inst, "--method", "matrix", f"--tau={tau!r}"],
+        "grid": ["solve", "--input", inst, "--method", "waterfall",
+                 f"--tau-grid={lo!r},{hi!r},{count}"],
+        "bench-scaling": ["bench-scaling", "--axis", "n", "--values", "5",
+                          "--methods", "matrix", f"--tau={tau!r}",
+                          f"--repeats={repeats}", "--output", str(out_csv)],
+        "waterfall-prob": ["waterfall-prob", "--d-range", "2", "--n", "6",
+                           f"--instances={repeats}", f"--tau={tau!r}",
+                           f"--tau-grid={lo!r},{hi!r},{count}",
+                           "--output", str(out_csv)],
+    }[command]
+    assert main(argv) in (0, 1, 2)
+    if out_csv.exists():
+        assert "nan" not in out_csv.read_text().lower()
