@@ -4,7 +4,9 @@ The matrix and the tensor method contract the same banded stair network with
 one kernel: flat message vectors over the d**k states of the next k
 undetermined variables, applying the sparse transfer rule through integer
 digit arithmetic (state t = sum_j d**j * value_j).  The tensor method's
-boundary tensors are these messages, reshaped (see solve_tensor).
+boundary tensors are these messages, reshaped (see solve_tensor).  At one
+tau, where a row's rule has d**(k+1) <= SCALAR_CELLS weights, the backward
+transfer runs on Python floats instead, with the same bytes.
 
 Backward messages run from the last variable toward the first; variables are
 then determined first-to-last, ties going to the lowest index.  Where a
@@ -22,8 +24,10 @@ every method, the dense solver's included.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import add, itemgetter, mul
 
 import numpy as np
 
@@ -34,6 +38,7 @@ from .tn_core import MarginalVector, SolverConfig, argmax_extract, normalize
 DEFAULT_CHAIN_CAP = 1 << 20  # max d**k message entries
 ROW_BLOCK = 32  # rows per block of row tables, so they hold O(1) rows in n
 BLOCK_CELLS = 512  # most G * d**(2k+1) candidate cells per row for block forward
+SCALAR_CELLS = 32  # most d**(k+1) weights per row for the one-point scalar transfer
 
 
 class ChainFactors:
@@ -56,8 +61,9 @@ class ChainFactors:
     def __init__(self, chain: ChainProblem, tau, faults: GridFaults | None = None):
         self.d, self.k, self.n = chain.d, chain.k, chain.n
         # the row tables of the last block built, the only one held: start
-        # row, E, W and per-row flags that every point's shift is finite
-        self._block = [None] * 4
+        # row, E, W, per-row flags that every point's shift is finite, and
+        # W as Python lists for the scalar transfer
+        self._block = [None] * 5
         self.taus = np.asarray(tau, dtype=float)
         # tau > 0 and rounding is monotone, so tau * max|cost| bounds every
         # scaled cost and tau * min(cost) is exactly the minimum of the scaled
@@ -74,13 +80,16 @@ class ChainFactors:
             taus = np.where(over, 0.0, taus)
         t = taus[..., None, None]
         # a shift of finite scaled costs can still overflow to +inf, which
-        # is the right exponent there: its weight is 0
-        with np.errstate(over="ignore"):
+        # is the right exponent there: its weight is 0.  Only a faulted
+        # point meets nan (0 * an infinite cost), and it is zeroed below
+        with np.errstate(over="ignore", invalid="ignore"):
             self.sc = t * chain.diag_cost
             self.sc -= t * chain.diag_cost.min(axis=-1, keepdims=True)
             t = t[..., None, None]
             self.cc = t * chain.cross_cost
             self.cc -= t * chain.cross_cost.min(axis=(-2, -1), keepdims=True)
+        if over.any():
+            self.sc[over] = self.cc[over] = 0.0
         self.sv = np.exp(-self.sc)
         # leading index that pairs each grid point with its own table rows
         # when rows are picked per point by fancy indexing
@@ -101,7 +110,7 @@ class ChainFactors:
         start = first - first % ROW_BLOCK
         if self._block[0] != start:
             rows = slice(start, min(start + ROW_BLOCK, self.n - self.k))
-            self._block = [start, _row_exponent(self, rows, L), None, None]
+            self._block = [start, _row_exponent(self, rows, L), None, None, None]
         return self._block[1][..., _offset(m, -start), :, :]
 
     def weights(self, m: int) -> np.ndarray | None:
@@ -109,14 +118,27 @@ class ChainFactors:
         per grid point over the row, as _stable_weights takes it for an
         all-positive message; None when some point's min is not finite."""
         self.exponent(m, self.k)
-        start, E, W, finite = self._block
+        start, E, W, finite = self._block[:4]
         if W is None:
             shift = E.min(axis=(-2, -1), keepdims=True)
             ok = np.isfinite(shift)
             W = np.where(ok, shift, 0.0) - E
             finite = ok.reshape(-1, ok.shape[-3]).all(axis=0)
-            self._block[2:] = np.exp(W, out=W), finite
+            self._block[2:4] = np.exp(W, out=W), finite
         return W[..., m - start, :, :] if finite[m - start] else None
+
+    def weight_lists(self, m: int) -> list | None:
+        """weights(m) of a one-point factor as d Python lists, list a holding
+        the weights of dropped value a in output state order (see
+        _transfer_scalar); made once per block.  None where weights(m) is."""
+        start = m - m % ROW_BLOCK
+        if self._block[0] != start or self._block[4] is None:
+            self.weights(m)
+            W, finite = self._block[2:4]
+            lay = _scalar_layout(self.d, self.k)[0]
+            self._block[4] = [[pick(row) for pick in lay] if ok else None for row, ok
+                              in zip(W.reshape(len(finite), -1).tolist(), finite.tolist())]
+        return self._block[4][m - start]
 
 
 def _offset(m: int | slice, shift: int):
@@ -174,14 +196,16 @@ def _stable_weights(exponent: np.ndarray, values: np.ndarray,
     positive rescale, which every caller discards through normalization or
     argmax, and it guarantees that the term at the shift point survives in
     float range, so products of many small factors cannot silently vanish.
-    Faults when no weighted state exists at all.
+    Faults when no weighted state has a finite exponent: messages are
+    scaled to a peak of 1, so some state carries weight, and its exponent
+    is +inf only where a sum of tau * cost overflowed.
     """
     positive = (values > 0).all()
     masked = exponent if positive else np.where(values > 0, exponent, np.inf)
     shift = masked.min(axis=axis, keepdims=axis is not None)
     bad = None
     if not np.isfinite(shift).all():
-        message = "underflow: all weighted states vanished during contraction"
+        message = "overflow: tau * cost sums of all weighted states leave float range"
         if faults is None:
             raise NumericFaultError(message)
         bad = faults.flag(~np.isfinite(shift), message)
@@ -233,6 +257,37 @@ def _check_chain_capacity(chain: ChainProblem) -> int:
     return cap // chain.d ** chain.k
 
 
+@lru_cache(maxsize=64)
+def _scalar_layout(d: int, k: int) -> tuple:
+    """Per dropped value a of variable m+k, getters that lay out a row's flat
+    weights W[z, s] and a message's entries B[s] in output state order
+    o = s' * d + z, where s = s' + a * d**(k-1)."""
+    size, h = d ** k, d ** (k - 1)
+    order = [(z, r) for r in range(h) for z in range(d)]
+    return (tuple(itemgetter(*[z * size + a * h + r for z, r in order]) for a in range(d)),
+            tuple(itemgetter(*[a * h + r for _, r in order]) for a in range(d)))
+
+
+def _transfer_scalar(msg: MessageState, m: int, fac: ChainFactors) -> MessageState | None:
+    """_transfer_flat's full-window step for one grid point on Python floats:
+    the same products and the same sums over the dropped value, added in
+    its order 0, 1, ..., so the message has the same bytes.  None where the
+    row's shift is not finite, an entry is not positive or the peak leaves
+    (0, inf): the numpy route then runs, with its faults."""
+    W = fac.weight_lists(m)
+    values = msg.entries.ravel().tolist()
+    if W is None or not min(values) > 0.0:
+        return None
+    picks = _scalar_layout(fac.d, fac.k)[1]
+    new = list(map(mul, W[0], picks[0](values)))
+    for a in range(1, fac.d):
+        new = list(map(add, new, map(mul, W[a], picks[a](values))))
+    peak = max(new)
+    if not 0.0 < peak < math.inf:
+        return None
+    return MessageState(np.divide(new, peak).reshape(msg.entries.shape), m, fac.k, fac.d)
+
+
 def _transfer_flat(msg: MessageState | None, m: int, fac: ChainFactors,
                    chain: ChainProblem,
                    faults: GridFaults | None = None) -> MessageState:
@@ -243,19 +298,26 @@ def _transfer_flat(msg: MessageState | None, m: int, fac: ChainFactors,
     Each new state prepends a value z for variable m; the weight multiplies
     the local factor of m and its crosses into the state variables.  When the
     state is already k long, the oldest variable m+k is summed out; that sum
-    plus the d**k target states is the d**(k+1)-operation sparse rule.
+    plus the d**k target states is the d**(k+1)-operation sparse rule.  For
+    one grid point and at most SCALAR_CELLS weights it runs on Python floats
+    (_transfer_scalar), where numpy's dispatch would cost more than the rule.
     """
     d, k, n = chain.d, chain.k, chain.n
     if msg is None:
         return MessageState(_normalize_msg(fac.sv[..., m, :], m, faults), m, 1, d)
     L = msg.length
+    full = L == k and m + k <= n - 1
+    if full and fac.taus.size == 1 and d ** (k + 1) <= SCALAR_CELLS:
+        new = _transfer_scalar(msg, m, fac)
+        if new is not None:
+            return new
     values = msg.entries[..., None, :]
     W = fac.weights(m) if L == k else None
     if W is not None and (values > 0).all():
         w = W * values  # what _stable_weights gives on this row
     else:
         w = _stable_weights(fac.exponent(m, L), values, (-2, -1), faults)
-    if L == k and m + k <= n - 1:
+    if full:
         # drop variable m+k: most-significant digit of the old state
         w = w.reshape(w.shape[:-1] + (d, d ** (k - 1))).sum(axis=-2)
         new_len = k

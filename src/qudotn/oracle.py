@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, env_cap
+from .errors import CapacityError, NumericFaultError, env_cap
 from .problem import Problem
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -63,9 +63,12 @@ def brute_force(p: Problem, cap: int | None = None) -> OracleResult:
     if states > cap:
         raise CapacityError(f"{states} states exceed brute-force cap {cap}")
     xs = _all_assignments(p.n, p.d)
-    costs = _costs(p, xs)
-    idx = int(np.argmin(costs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = _costs(p, xs)
+    idx = int(np.argmin(costs))  # the first nan, if any
     best_cost = float(costs[idx])
+    if not math.isfinite(best_cost):
+        raise NumericFaultError("overflow: cost sums leave float range")
     return OracleResult(
         best=[int(v) for v in xs[idx]],
         best_cost=best_cost,

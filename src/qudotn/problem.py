@@ -155,10 +155,13 @@ def chain_view(p: Problem, k: int) -> ChainProblem:
         cross[i[off], (j - i - 1)[off], a[off], b[off]] += value[off]
     else:
         vals = np.arange(d, dtype=float)
-        diag[i[~off]] += value[~off, None] * vals * vals
-        cross[i[off], (j - i - 1)[off]] += value[off, None, None] * np.outer(vals, vals)
         lin = np.fromiter(p.lin.values(), dtype=float, count=len(p.lin))
-        diag[list(p.lin)] += lin[:, None] * vals
+        # a cost beyond float range becomes +-inf (nan where two meet), on
+        # which ChainFactors faults as a tau * cost overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag[i[~off]] += value[~off, None] * vals * vals
+            cross[i[off], (j - i - 1)[off]] += value[off, None, None] * np.outer(vals, vals)
+            diag[list(p.lin)] += lin[:, None] * vals
     return ChainProblem(problem=p, k=k, n=n, d=d, diag_cost=diag, cross_cost=cross)
 
 
@@ -249,21 +252,23 @@ def _reject_constant(name: str):
 def parse_instance(text: str) -> Problem:
     """Parse an instance document, rejecting malformed or duplicate entries.
 
-    Indices must be JSON integers and coefficients finite numbers; NaN,
-    Infinity and literals that overflow to infinity are rejected.
+    n, d and indices must be JSON integers and coefficients finite numbers;
+    NaN, Infinity and literals that overflow to infinity are rejected.
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    # ValueError covers integers past Python's digit limit, RecursionError
+    # arrays nested too deep for the decoder
+    except (ValueError, RecursionError) as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     try:
-        kind = doc["kind"]
-        n = int(doc["n"])
-        d = int(doc["d"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"missing or invalid header field: {exc}") from exc
+        kind, n, d = doc["kind"], doc["n"], doc["d"]
+    except KeyError as exc:
+        raise InstanceFormatError(f"missing header field: {exc}") from exc
+    if type(n) is not int or type(d) is not int:  # not 2.5, true, "5" or 1e999
+        raise InstanceFormatError(f"n and d must be JSON integers, got {n!r} and {d!r}")
     if kind not in KINDS:
         raise InstanceFormatError(f"unknown kind {kind!r}")
 

@@ -40,6 +40,8 @@ class SolverConfig:
             lo, hi, count = self.tau_grid
             if not (0 < lo < hi < math.inf and count >= 1):
                 raise ValueError("tau_grid needs 0 < min < max < inf and count >= 1")
+        if not 0 < self.restart_factor < math.inf:
+            raise ValueError("restart_factor must be positive and finite")
 
     def taus(self) -> np.ndarray:
         """The tau values a solve covers: the grid when set, else tau alone."""

@@ -355,9 +355,9 @@ class TestRowTables:
             tdig = [x[:, m - 1 - j, None] for j in range(min(2, m))]
             assert (_candidates_flat(ch, fac, m, msgs[m + 1], tdig, got).tobytes()
                     == _candidates_ref(ch, fac, m, msgs[m + 1], tdig, want).tobytes())
-        underflow = "underflow: all weighted states vanished"
+        overflow = "overflow: tau * cost sums of all weighted states"
         assert faults.messages[0] is None
-        assert all(msg.startswith(underflow) for msg in faults.messages[1:3])
+        assert all(msg.startswith(overflow) for msg in faults.messages[1:3])
         assert faults.messages[3].startswith("overflow")
 
     @pytest.mark.parametrize("solve", [solve_matrix, solve_waterfall])
@@ -395,6 +395,128 @@ class TestRowTables:
         assert res.assignment == [0] * n
         assert max(largest) == bound
         assert max(total) <= 2 * bound + ROW_BLOCK
+
+
+# ---------------------------------------------------------------------------
+# Scalar backward transfer against the numpy arithmetic
+
+
+def _backward_ref(ch, fac, faults):
+    """backward_pass_matrix's messages, every step by _transfer_ref."""
+    d, k, n = ch.d, ch.k, ch.n
+    msg = _transfer_flat(None, n - 1, fac, ch, faults)
+    out = [msg]
+    for m in range(n - 2, 0, -1):
+        full = msg.length == k and m + k <= n - 1
+        msg = MessageState(_transfer_ref(msg, m, fac, ch, faults), m,
+                           k if full else msg.length + 1, d)
+        out.append(msg)
+    return out
+
+
+def _message_bytes(msgs):
+    return [(m.entries.tobytes(), m.entries.shape, m.origin, m.length) for m in msgs]
+
+
+# every (d, k) with d**(k+1) <= SCALAR_CELLS, and for each d the first k above
+SCALAR_SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1)]
+ABOVE_SHAPES = [(2, 5), (3, 3), (4, 2), (5, 2), (6, 1), (7, 1)]
+
+
+class TestScalarTransfer:
+    TAUS = (0.01, 1.0, 50.0, 2000.0)
+
+    def _compare(self, ch, tau):
+        """One point, as a 1-point grid and as a scalar tau: the same
+        messages and faults as the numpy arithmetic; returns the messages."""
+        got, want = GridFaults(1), GridFaults(1)
+        msgs = _outcome(lambda: backward_pass_matrix(
+            ch, _cfg(1.0), ChainFactors(ch, np.array([tau]), got), got))
+        ref = _outcome(lambda: _backward_ref(ch, ChainFactors(ch, np.array([tau]), want), want))
+        assert _message_bytes(msgs) == _message_bytes(ref)
+        assert got.messages == want.messages
+        one = _outcome(lambda: backward_pass_matrix(ch, _cfg(1.0), ChainFactors(ch, tau)))
+        one_ref = _outcome(lambda: _backward_ref(ch, ChainFactors(ch, tau), None))
+        if isinstance(one_ref, str):
+            assert one == one_ref
+        else:
+            assert _message_bytes(one) == _message_bytes(one_ref)
+        return msgs
+
+    @pytest.mark.parametrize("d, k", SCALAR_SHAPES + ABOVE_SHAPES)
+    @pytest.mark.parametrize("n", [ROW_BLOCK + 1, ROW_BLOCK + 4, 2 * ROW_BLOCK + 7])
+    def test_matches_numpy_arithmetic(self, n, d, k):
+        ch = chain_view(random_instance("qudo", n, d, k, seed=n + d + k, lin_enabled=True), k)
+        zeros = 0
+        for tau in self.TAUS:
+            msgs = self._compare(ch, tau)
+            zeros += sum(int((m.entries == 0).any()) for m in msgs)
+        assert zeros > 0  # tau = 2000 underflows entries: the numpy route runs there
+
+    def test_tqudo(self):
+        ch = chain_view(random_instance("tqudo", 40, 3, 2, seed=7), 2)
+        for tau in self.TAUS:
+            self._compare(ch, tau)
+
+    @pytest.mark.parametrize("k, instance, tau", [(1, _overflowing_instance, 150.0),
+                                                  (2, _overflowing_row_instance, 120.0),
+                                                  (2, _overflowing_row_instance, 300.0)])
+    def test_overflowing_instances(self, k, instance, tau):
+        ch = chain_view(instance(), k)
+        self._compare(ch, tau)
+
+    def test_row_without_finite_exponent_faults_as_before(self):
+        """Row 3 of _overflowing_row_instance has no finite exponent at tau =
+        120: the numpy route faults there, with its message."""
+        faults = GridFaults(1)
+        ch = chain_view(_overflowing_row_instance(), 2)
+        backward_pass_matrix(ch, _cfg(1.0), ChainFactors(ch, np.array([120.0]), faults), faults)
+        assert faults.messages[0].startswith("overflow: tau * cost sums of all weighted states")
+
+
+class TestScalarRoute:
+    """Which backward rows go through numpy's _normalize_msg."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """The rows a backward pass sends to _normalize_msg."""
+        seen = []
+        original = chain_solver._normalize_msg
+
+        def counted(arr, row, *args, **kwargs):
+            seen.append(row)
+            return original(arr, row, *args, **kwargs)
+
+        monkeypatch.setattr(chain_solver, "_normalize_msg", counted)
+
+        def run(ch, taus):
+            seen.clear()
+            faults = GridFaults(len(taus))
+            backward_pass_matrix(ch, _cfg(1.0), ChainFactors(ch, taus, faults), faults)
+            return list(seen)
+        return run
+
+    def test_long_chain_takes_the_scalar_route(self, rows):
+        n, k = 500, 2
+        ch = chain_view(random_instance("qudo", n, 2, k, seed=1, lin_enabled=True), k)
+        assert rows(ch, np.array([50.0])) == [n - 1, n - 2]  # the edge messages
+
+    def test_two_points_take_numpy(self, rows):
+        n, k = 500, 2
+        ch = chain_view(random_instance("qudo", n, 2, k, seed=1, lin_enabled=True), k)
+        assert rows(ch, np.array([5.0, 50.0])) == list(range(n - 1, 0, -1))
+
+    def test_wide_window_takes_numpy(self, rows):
+        n, k = 40, 4
+        ch = chain_view(random_instance("tqudo", n, 3, k, seed=1), k)
+        assert rows(ch, np.array([50.0])) == list(range(n - 1, 0, -1))
+
+    @pytest.mark.parametrize("d, k, scalar", [(2, 4, True), (6, 1, False)])
+    def test_limit(self, rows, d, k, scalar):
+        """d**(k+1) = 32 = SCALAR_CELLS takes the route, 36 does not."""
+        ch = chain_view(random_instance("qudo", 20, d, k, seed=3), k)
+        edges = list(range(19, 19 - k, -1))
+        assert rows(ch, np.array([1.0])) == (edges if scalar else list(range(19, 0, -1)))
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,19 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err.startswith("ERROR usage: tau")
 
+    @pytest.mark.parametrize("factor", ["-1", "0", "-0.0", "nan", "inf", "-inf"])
+    def test_bad_restart_factor_usage_error(self, tmp_path, capsys, factor):
+        """A factor that is not positive and finite is a usage error: a
+        negative one would re-solve at negative tau (maximising cost), 0 at
+        tau = 0, and nan or inf would fault as a tau * cost overflow."""
+        path = tmp_path / "inst.json"
+        assert main(["generate", "--n", "30", "--d", "3", "--k", "2", "--seed", "4",
+                     "--lin", "--output", str(path)]) == 0
+        code, out, err = run(capsys, "solve", "--input", str(path), "--method",
+                             "waterfall", "--tau", "5", f"--restart-factor={factor}")
+        assert code == 2 and out == ""
+        assert err == "ERROR usage: restart_factor must be positive and finite\n"
+
     def test_chain_incompatibility_error(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"kind": "qudo", "n": 5, "d": 2,
                                          "q": [[0, 3, 1.0]]})
@@ -200,6 +213,8 @@ class TestBenchScaling:
                            "--methods", method)
         assert code == 1 and err.startswith("ERROR numeric-fault: ")
         assert "Warning" not in err
+        if method != "dense":  # dense cannot tell overflow from underflow
+            assert err.startswith("ERROR numeric-fault: overflow: ")
 
 
 class TestWaterfallProb:
@@ -249,9 +264,10 @@ TAUS = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"),
 
 @settings(max_examples=100, deadline=None)
 @given(tau=TAUS, lo=TAUS, hi=TAUS, count=st.integers(-1, 4),
-       repeats=st.integers(-2, 2),
-       command=st.sampled_from(["solve", "grid", "bench-scaling", "waterfall-prob"]))
-def test_numeric_flags_fuzz(fuzz_dir, tau, lo, hi, count, repeats, command):
+       repeats=st.integers(-2, 2), factor=TAUS,
+       command=st.sampled_from(["solve", "grid", "restart", "bench-scaling",
+                                "waterfall-prob"]))
+def test_numeric_flags_fuzz(fuzz_dir, tau, lo, hi, count, repeats, factor, command):
     """Whatever numbers the flags carry, the CLI ends with an exit code
     (never a traceback, a warning turned error, or nan in a CSV)."""
     out_csv = fuzz_dir / "out.csv"
@@ -262,6 +278,8 @@ def test_numeric_flags_fuzz(fuzz_dir, tau, lo, hi, count, repeats, command):
         "solve": ["solve", "--input", inst, "--method", "matrix", f"--tau={tau!r}"],
         "grid": ["solve", "--input", inst, "--method", "waterfall",
                  f"--tau-grid={lo!r},{hi!r},{count}"],
+        "restart": ["solve", "--input", inst, "--method", "waterfall", f"--tau={tau!r}",
+                    f"--restart-factor={factor!r}"],
         "bench-scaling": ["bench-scaling", "--axis", "n", "--values", "5",
                           "--methods", "matrix", f"--tau={tau!r}",
                           f"--repeats={repeats}", "--output", str(out_csv)],

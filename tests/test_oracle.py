@@ -7,6 +7,7 @@ import pytest
 
 from qudotn import (
     CapacityError,
+    NumericFaultError,
     Problem,
     brute_force,
     direct_marginal,
@@ -65,6 +66,15 @@ class TestBruteForce:
         finally:
             del os.environ["QUDOTN_BRUTE_CAP"]
         brute_force(p)
+
+    def test_cost_sums_beyond_float_range(self):
+        """An optimum whose cost overflows is a numeric fault, with no numpy
+        warning; a finite optimum beside overflowing costs still solves."""
+        p = Problem(kind="qudo", n=3, d=2, quad={(0, 1): -1.7e308, (1, 2): -1.7e308})
+        with pytest.raises(NumericFaultError, match="^overflow: cost sums"):
+            brute_force(p)
+        res = brute_force(Problem(kind="qudo", n=1, d=3, quad={(0, 0): 1.7e308}))
+        assert (res.best, res.best_cost) == ([0], 0.0)
 
 
 class TestDirectMarginal:
