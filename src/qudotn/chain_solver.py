@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, itemgetter, mul
 
 import numpy as np
@@ -42,15 +42,15 @@ SCALAR_CELLS = 32  # most d**(k+1) weights per row for the one-point scalar tran
 
 
 class ChainFactors:
-    """exp(-tau * cost) tables for one chain at one tau or a grid of taus.
+    """tau * cost exponent tables for one chain at one tau or a grid of taus.
 
-    Each factor is rescaled by its own maximum so that extreme tau values
+    Each exponent is shifted by its own minimum so that extreme tau values
     stay inside float range; messages are scale-free anyway.
-    sv[m, z] is the local weight of variable m, cf[m, j-1, a, b] the
-    interaction weight between variable m at a and variable m+j at b;
-    sc and cc hold the corresponding shifted cost exponents, so that
-    multi-factor products can be summed in exponent space and
-    exponentiated once instead of multiplied into the underflow region.
+    sc[m, z] is the local cost exponent of variable m, cc[m, j-1, a, b]
+    that of the interaction between variable m at a and variable m+j at b,
+    and sv = exp(-sc) the local weights.  Every solver sums a row's
+    exponents and exponentiates once (_stable_weights) instead of
+    multiplying factors into the underflow region.
     An array of G taus gives every table a leading axis of length G.
 
     A tau at which tau * cost leaves float range is a numeric fault: raised
@@ -94,10 +94,6 @@ class ChainFactors:
         # leading index that pairs each grid point with its own table rows
         # when rows are picked per point by fancy indexing
         self.points = (np.arange(self.taus.size)[:, None],) if self.taus.ndim else ()
-
-    @cached_property
-    def cf(self) -> np.ndarray:
-        return np.exp(-self.cc)
 
     def exponent(self, m: int | slice, L: int) -> np.ndarray:
         """Row m's exponent sc[m, z] + sum_j cc[m, j-1, z, digit_j(s)] over
@@ -272,8 +268,10 @@ def _transfer_scalar(msg: MessageState, m: int, fac: ChainFactors) -> MessageSta
     """_transfer_flat's full-window step for one grid point on Python floats:
     the same products and the same sums over the dropped value, added in
     its order 0, 1, ..., so the message has the same bytes.  None where the
-    row's shift is not finite, an entry is not positive or the peak leaves
-    (0, inf): the numpy route then runs, with its faults."""
+    row's shift is not finite or an entry is not positive: the numpy route
+    then runs, with its faults.  The weights lie in [0, 1] and hold an
+    exact exp(0) = 1, the entries in (0, 1], so the peak lies in [min
+    entry, d] and needs no check."""
     W = fac.weight_lists(m)
     values = msg.entries.ravel().tolist()
     if W is None or not min(values) > 0.0:
@@ -282,10 +280,7 @@ def _transfer_scalar(msg: MessageState, m: int, fac: ChainFactors) -> MessageSta
     new = list(map(mul, W[0], picks[0](values)))
     for a in range(1, fac.d):
         new = list(map(add, new, map(mul, W[a], picks[a](values))))
-    peak = max(new)
-    if not 0.0 < peak < math.inf:
-        return None
-    return MessageState(np.divide(new, peak).reshape(msg.entries.shape), m, fac.k, fac.d)
+    return MessageState(np.divide(new, max(new)).reshape(msg.entries.shape), m, fac.k, fac.d)
 
 
 def _transfer_flat(msg: MessageState | None, m: int, fac: ChainFactors,
@@ -344,16 +339,6 @@ def _normalize_msg(arr: np.ndarray, row: int, faults: GridFaults | None = None,
     return normalize(arr, axis=axis)[0]
 
 
-def _argmax(vec: np.ndarray, faults: GridFaults | None = None):
-    try:
-        return argmax_extract(vec)
-    except NumericFaultError as exc:
-        if faults is None:
-            raise
-        bad = faults.flag(np.isnan(vec), str(exc))
-        return argmax_extract(np.where(bad[:, None], 1.0, vec))
-
-
 def backward_pass_matrix(chain: ChainProblem, cfg: SolverConfig,
                          fac: ChainFactors | None = None,
                          faults: GridFaults | None = None) -> list:
@@ -383,6 +368,7 @@ def transfer_operator_dense(chain: ChainProblem, m: int, tau: float) -> np.ndarr
     if not (1 <= m and m + k <= n - 1):
         raise ValueError("dense transfer operator is defined for interior rows")
     fac = ChainFactors(chain, tau)
+    cf = np.exp(-fac.cc[m])
     size = d ** k
     op = np.zeros((size, size))
     digs = _digits(d, k)
@@ -393,7 +379,7 @@ def transfer_operator_dense(chain: ChainProblem, m: int, tau: float) -> np.ndarr
             sp = shared + ak * d ** (k - 1)
             wgt = fac.sv[m][z]
             for j in range(1, k + 1):
-                wgt *= fac.cf[m, j - 1][z, digs[j - 1][sp]]
+                wgt *= cf[j - 1][z, digs[j - 1][sp]]
             op[s, sp] = wgt
     return op
 
@@ -488,8 +474,9 @@ def solve_grid(p: Problem, cfg: SolverConfig, size: int, solve_batch):
     caller's bound on what one batch may hold.  solve_batch(taus) returns the
     (G, n) assignments, the fault message of each point (None when it
     solved) and finish(g, cost), which builds the result of point g.  The
-    lowest cost of p wins and ties keep the first, i.e. the smallest, tau.
-    The result carries the winning tau and the (tau, message) pairs of the
+    lowest cost of p wins and ties keep the first, i.e. the smallest, tau;
+    a point whose cost leaves float range faults, as in brute_force.  The
+    result carries the winning tau and the (tau, message) pairs of the
     faulted points; when every point faulted, the last fault is raised.
     """
     taus = cfg.taus()
@@ -502,13 +489,15 @@ def solve_grid(p: Problem, cfg: SolverConfig, size: int, solve_batch):
             xs, messages, finish = solve_batch(taus[start:start + size])
         for g, (x, message) in enumerate(zip(xs, messages)):
             tau = float(taus[start + g])
+            if message is None:
+                key = x.tobytes()
+                if key not in known:
+                    known[key] = evaluate_cost(p, x.tolist())
+                if not math.isfinite(known[key]):
+                    message = "overflow: cost sums leave float range"
             if message is not None:
                 skipped.append((tau, message))
-                continue
-            key = x.tobytes()
-            if key not in known:
-                known[key] = evaluate_cost(p, x.tolist())
-            if best is None or known[key] < best[0]:
+            elif best is None or known[key] < best[0]:
                 best = (known[key], tau, finish, g)
     if best is None:
         raise NumericFaultError(skipped[-1][1])
@@ -552,7 +541,7 @@ def solve_matrix(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:
                 vec = marginal_matrix(chain, fac, r, by_origin.get(r + 1), x, faults)
                 vec = _normalize_msg(vec, r, faults)
                 margs.append(vec)
-                x[:, r] = _argmax(vec, faults)
+                x[:, r] = argmax_extract(vec)
             m = stop
         return x, faults.messages, _chain_finish(x, margs, len(msgs))
 

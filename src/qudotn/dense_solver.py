@@ -4,8 +4,8 @@ The network is contracted row by row from the bottom (last variable) upward;
 each row is absorbed right to left, exploiting the structural nonzero
 patterns of the nodes (diagonal value transmission).  Intermediate boundary
 tensors from the first determination are kept and reused for the remaining
-variables, so the whole solve costs a single full contraction.  The factor
-tables are the chain solvers', for the chain view at k = n - 1, with their
+variables, so the whole solve costs a single full contraction.  The cost
+exponents are the chain solvers', for the chain view at k = n - 1, with their
 leading tau-grid axis: every boundary carries it too, so one contraction
 serves a batch of grid points, and the best point is kept by the chain
 solvers' solve_grid.
@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_solver import (ChainFactors, ChainSolveResult, GridFaults, _argmax,
-                           _chain_finish, _normalize_msg, solve_grid)
+from .chain_solver import (ChainFactors, ChainSolveResult, GridFaults,
+                           _chain_finish, _normalize_msg, _stable_weights, solve_grid)
 from .errors import CapacityError, env_cap
 from .problem import Problem, chain_view
-from .tn_core import MarginalVector, SolverConfig
+from .tn_core import MarginalVector, SolverConfig, argmax_extract
 # unused here; still bound because the benchmark's layer probes rebind them
 from .problem import evaluate_cost  # noqa: F401
-from .tn_core import argmax_extract, cross_cost, normalize, self_cost  # noqa: F401
+from .tn_core import cross_cost, normalize, self_cost  # noqa: F401
 
 DEFAULT_DENSE_CAP = 32768  # max boundary-tensor elements, d**(n-1)
 
@@ -111,48 +111,45 @@ def _check_capacity(p: Problem) -> int:
 
 
 def _prefix_rows(fac: ChainFactors, m: int, x: np.ndarray) -> np.ndarray:
-    """(G, L, d): row l holds cf[g, l, m-l-1, x[g, l]], the weights that
-    point g's fixed variable l puts on the values of variable m, for the L
-    columns of x."""
+    """(G, d): the summed exponents cc[g, l, m-l-1, x[g, l]] that point g's
+    fixed variables l, the L columns of x, put on the values of variable m."""
     ls = np.arange(x.shape[1])
-    return fac.cf[(*fac.points, ls, m - ls - 1, x)]
+    return fac.cc[(*fac.points, ls, m - ls - 1, x)].sum(axis=1)
 
 
 def _absorb_row_sparse(bound: np.ndarray, m: int, base: int, fac: ChainFactors,
                        x: np.ndarray, faults: GridFaults | None = None) -> np.ndarray:
     """Absorb row m into the boundary over free variables (base..m).
 
-    bound and every factor carry the grid axis in front.  sv[g, m] is the
-    local weight of variable m, cf[g, l, m-l-1] the interaction weight of
-    the pair (l, m).  Fixed variables (index < base, point g's values in
-    x[g]) enter by selecting the matching slice of their cross factor, per
-    the value-transmission constraint; free ones broadcast their full factor.
-    The row's own index is then summed out and each point's result scaled to
-    a largest entry of 1.
+    bound and every table carry the grid axis in front.  The row's exponent
+    sums sc[g, m], the local cost exponent of variable m, and cc[g, l,
+    m-l-1], that of the pair (l, m): fixed variables (index < base, point
+    g's values in x[g]) enter by the slice at their value, per the
+    value-transmission constraint; free ones broadcast their full slab.  It
+    is exponentiated once, as the chain kernels do (_stable_weights), the
+    row's own index summed out and each point's result scaled to a largest
+    entry of 1.
     """
-    G, d = fac.sv.shape[0], fac.sv.shape[-1]
+    G, d = fac.sc.shape[0], fac.sc.shape[-1]
     last = (G,) + (1,) * (m - base) + (d,)  # broadcasts onto the axis of x_m
-    out = bound * fac.sv[:, m].reshape(last)
+    expo = fac.sc[:, m]
     if base:
-        rows = _prefix_rows(fac, m, x[:, :base])
-        for l in range(base):
-            out *= rows[:, l].reshape(last)
+        expo = expo + _prefix_rows(fac, m, x[:, :base])
+    expo = expo.reshape(last)
     for l in range(base, m):
-        f = fac.cf[:, l, m - l - 1]
-        out *= f.reshape((G,) + (1,) * (l - base) + (d,) + (1,) * (m - l - 1) + (d,))
-    out = out.sum(axis=-1)
-    return _normalize_msg(out, m, faults, axis=tuple(range(1, out.ndim)))
+        f = fac.cc[:, l, m - l - 1]
+        expo = expo + f.reshape((G,) + (1,) * (l - base) + (d,) + (1,) * (m - l - 1) + (d,))
+    axes = tuple(range(1, bound.ndim))
+    out = _stable_weights(expo, bound, axes, faults).sum(axis=-1)
+    return _normalize_msg(out, m, faults, axis=axes[:-1])
 
 
 def _row_local_marginal(vec: np.ndarray, i: int, fac: ChainFactors,
                         x: np.ndarray, faults: GridFaults | None = None) -> np.ndarray:
-    """Row i's own factors at each point's fixed prefix x[:, :i] times vec,
-    scaled to a largest entry of 1."""
-    out = vec * fac.sv[:, i]
-    rows = _prefix_rows(fac, i, x[:, :i])
-    for l in range(i):
-        out *= rows[:, l]
-    return _normalize_msg(out, i, faults)
+    """Row i's own exponents at each point's fixed prefix x[:, :i], weighted
+    onto vec, scaled to a largest entry of 1."""
+    expo = fac.sc[:, i] + _prefix_rows(fac, i, x[:, :i])
+    return _normalize_msg(_stable_weights(expo, vec, -1, faults), i, faults)
 
 
 def contract_marginal(net: StairNetwork, i: int, fixed) -> MarginalVector:
@@ -208,7 +205,7 @@ def solve_dense(p: Problem, cfg: SolverConfig) -> ChainSolveResult:
                 vec = np.ones((len(taus), p.d))
             vec = _row_local_marginal(vec, i, fac, x, faults)
             margs.append(vec)
-            x[:, i] = _argmax(vec, faults)
+            x[:, i] = argmax_extract(vec)
         return x, faults.messages, _chain_finish(x, margs, p.n - 1)
 
     return solve_grid(p, cfg, size, solve_batch)

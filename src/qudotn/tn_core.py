@@ -23,15 +23,12 @@ class SolverConfig:
 
     tau_grid, when set, is a geometric grid (min, max, count) swept by the
     best-of drivers.  restart_factor rescales tau for the subproblem left
-    after a waterfall cascade; 1.0 disables restarts.  keep_trace makes the
-    waterfall solver retain per-variable candidate vectors for inspection at
-    the price of the method's memory advantage.
+    after a waterfall cascade; 1.0 disables restarts.
     """
 
     tau: float = 50.0
     tau_grid: tuple | None = None
     restart_factor: float = 1.0
-    keep_trace: bool = False
 
     def __post_init__(self):
         if not 0 < self.tau < math.inf:  # nan fails too

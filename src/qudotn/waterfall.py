@@ -14,16 +14,16 @@ resolved values and table release are kept per grid point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain_solver import (ChainFactors, GridFaults, MessageState,
                            _candidates_flat, _check_chain_capacity, _digits,
-                           _normalize_msg, _transfer_flat, solve_grid)
+                           _transfer_flat, solve_grid)
 from .errors import NumericFaultError
 from .problem import ChainProblem
-from .tn_core import MarginalVector, SolverConfig
+from .tn_core import SolverConfig
 
 
 @dataclass
@@ -55,28 +55,23 @@ class WaterfallResult:
     assignment: list
     cost: float
     stats: WaterfallStats = field(default_factory=WaterfallStats)
-    marginals: list | None = None
     tau: float | None = None
     skipped_taus: list = field(default_factory=list)
 
 
 def candidate_table(message: MessageState | None, chain: ChainProblem, m: int,
                     cfg: SolverConfig, fac: ChainFactors | None = None,
-                    keep_vectors: bool = False, faults: GridFaults | None = None):
+                    faults: GridFaults | None = None) -> WaterfallTable:
     """Table of best values for row m over every predecessor combination.
 
     message is the backward message summarizing everything after variable m
-    (None for the last row).  The candidate vectors themselves are transient
-    unless keep_vectors is set.
+    (None for the last row).  The candidate vectors themselves are transient.
     """
     fac = fac or ChainFactors(chain, cfg.tau)
     d = chain.d
     K = min(chain.k, m)
     cand = _candidates_flat(chain, fac, m, message, _digits(d, K), faults)
-    table = WaterfallTable(row=m, entries=np.argmax(cand, axis=-1), npred=K, d=d)
-    if keep_vectors:
-        return table, cand
-    return table
+    return WaterfallTable(row=m, entries=np.argmax(cand, axis=-1), npred=K, d=d)
 
 
 def check_cascade(tables, d: int, k: int):
@@ -129,7 +124,6 @@ class _Pass:
         self.peak = np.zeros(G, dtype=int)
         self.restart_at = np.zeros(G, dtype=int)
         self.faults = GridFaults(G)
-        self.vectors: dict = {}
 
 
 def _waterfall_pass(chain: ChainProblem, cfg: SolverConfig, taus) -> _Pass:
@@ -140,7 +134,8 @@ def _waterfall_pass(chain: ChainProblem, cfg: SolverConfig, taus) -> _Pass:
     at earlier rows can still apply the restricted rule.  A table leaves
     memory once every point that has not faulted released it.  With
     restart_factor != 1, a point's first cascade at a row m > 0 takes it out
-    of the batch to have its prefix re-solved.
+    of the batch to have its prefix re-solved.  Row 0's table has a single
+    entry, so every point still live there cascades and is resolved.
     """
     d, k, n = chain.d, chain.k, chain.n
     out = _Pass(len(taus), n)
@@ -151,11 +146,7 @@ def _waterfall_pass(chain: ChainProblem, cfg: SolverConfig, taus) -> _Pass:
     tables: dict = {}
     msg: MessageState | None = None  # becomes B_{m+1} at iteration m
     for m in range(n - 1, -1, -1):
-        if cfg.keep_trace:
-            tab, out.vectors[m] = candidate_table(msg, chain, m, cfg, fac, True, faults)
-        else:
-            tab = candidate_table(msg, chain, m, cfg, fac, faults=faults)
-        tables[m] = tab
+        tables[m] = candidate_table(msg, chain, m, cfg, fac, faults=faults)
         live &= ~faults.mask
         # a point holds rows m.. up to k past its resolved suffix
         held = np.minimum(resolved_from + k, n) - m
@@ -180,13 +171,6 @@ def _waterfall_pass(chain: ChainProblem, cfg: SolverConfig, taus) -> _Pass:
             break
         if m > 0:
             msg = _transfer_flat(msg, m, fac, chain, faults)
-    # variables before each point's resolved suffix, first to last
-    todo = ~faults.mask & (out.restart_at == 0)
-    for m in range(n):
-        need = todo & (m < resolved_from)
-        if not need.any():
-            break
-        x[:, m] = np.where(need, _lookup(tables[m], x, m), x[:, m])
     return out
 
 
@@ -210,15 +194,17 @@ def _restart(chain: ChainProblem, cfg: SolverConfig, out: _Pass, g: int, tau: fl
     """Re-solve the prefix of grid point g until no cascade asks for another
     restart.  Each round solves variables 0..m-1, with the boundary folded in,
     as a one-point pass at tau times the restart factor, and fills x[:m].
-    Returns the number of rounds."""
+    Returns the number of rounds.  The factor compounds per round: a tau
+    that reaches inf is a numeric fault, one that reaches 0 solves on."""
     x = out.x[g]
     m = int(out.restart_at[g])
     rounds = 0
-    sub_cfg = replace(cfg, keep_trace=False)
     while m > 0:
         chain = _fold_prefix(chain, x, m)
         tau = tau * cfg.restart_factor
-        sub = _waterfall_pass(chain, sub_cfg, np.array([tau]))
+        if tau == np.inf:
+            raise NumericFaultError("overflow: restart tau leaves float range")
+        sub = _waterfall_pass(chain, cfg, np.array([tau]))
         if sub.faults.messages[0] is not None:
             raise NumericFaultError(sub.faults.messages[0])
         x[:m] = sub.x[0]
@@ -227,16 +213,6 @@ def _restart(chain: ChainProblem, cfg: SolverConfig, out: _Pass, g: int, tau: fl
         rounds += 1
         m = int(sub.restart_at[0])
     return rounds
-
-
-def _trace_marginals(cands: dict, x: list, g: int, k: int):
-    out = []
-    for m in range(len(x)):
-        cand = cands[m][g]
-        d = cand.shape[-1]
-        vec = cand[sum(x[m - 1 - j] * d ** j for j in range(min(k, m)))]
-        out.append(MarginalVector(entries=_normalize_msg(vec, m)))
-    return out
 
 
 def solve_waterfall(chain: ChainProblem, cfg: SolverConfig) -> WaterfallResult:
@@ -263,11 +239,7 @@ def solve_waterfall(chain: ChainProblem, cfg: SolverConfig) -> WaterfallResult:
             stats = WaterfallStats(uniform_events=events, w_prob=events / chain.n,
                                    peak_tables_held=int(out.peak[g]),
                                    restarts=int(restarts[g]))
-            marginals = None
-            if cfg.keep_trace and not restarts[g]:
-                marginals = _trace_marginals(out.vectors, x, g, chain.k)
-            return WaterfallResult(assignment=x, cost=cost, stats=stats,
-                                   marginals=marginals)
+            return WaterfallResult(assignment=x, cost=cost, stats=stats)
         return out.x, out.faults.messages, finish
 
     return solve_grid(chain.problem, cfg, _check_chain_capacity(chain), solve_batch)

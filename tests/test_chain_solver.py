@@ -21,12 +21,12 @@ from qudotn import (
 )
 from qudotn import chain_solver
 from qudotn.chain_solver import (BLOCK_CELLS, ROW_BLOCK, ChainFactors, GridFaults,
-                                 MessageState, _argmax, _candidates_flat,
+                                 MessageState, _candidates_flat,
                                  _chain_finish, _check_chain_capacity,
                                  _normalize_msg, _stable_weights, _transfer_flat,
                                  marginal_matrix, solve_grid)
 from qudotn.dense_solver import build_stair
-from qudotn.tn_core import SolverConfig
+from qudotn.tn_core import SolverConfig, argmax_extract
 from qudotn.waterfall import solve_waterfall
 from test_tau_batch import _overflowing_instance
 
@@ -525,8 +525,8 @@ class TestScalarRoute:
 
 def _per_variable_batch(chain, cfg, seen):
     """solve_matrix's batch with every variable taken one at a time, as
-    marginal_matrix, then _normalize_msg, then _argmax; appends each batch's
-    (x, marginals) to seen."""
+    marginal_matrix, then _normalize_msg, then argmax_extract; appends each
+    batch's (x, marginals) to seen."""
     def solve_batch(taus):
         faults = GridFaults(len(taus))
         fac = ChainFactors(chain, taus, faults)
@@ -538,7 +538,7 @@ def _per_variable_batch(chain, cfg, seen):
             vec = marginal_matrix(chain, fac, m, by_origin.get(m + 1), x, faults)
             vec = _normalize_msg(vec, m, faults)
             margs.append(vec)
-            x[:, m] = _argmax(vec, faults)
+            x[:, m] = argmax_extract(vec)
         seen.append((x, margs))
         return x, faults.messages, _chain_finish(x, margs, len(msgs))
     return solve_batch

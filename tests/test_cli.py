@@ -3,7 +3,7 @@ import csv
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qudotn import ConfigError, SolverConfig, parse_instance, solve_instance
@@ -106,6 +106,17 @@ class TestSolve:
                              "waterfall", "--tau", "5", f"--restart-factor={factor}")
         assert code == 2 and out == ""
         assert err == "ERROR usage: restart_factor must be positive and finite\n"
+
+    @pytest.mark.parametrize("method", ["matrix", "tensor", "waterfall", "dense", "brute"])
+    def test_cost_overflow_is_a_fault(self, tmp_path, capsys, method):
+        """Every tau * cost is small, but the cost of the assignment found
+        sums to -inf: a numeric fault, as brute force says."""
+        path = write_instance(tmp_path, {"kind": "qudo", "n": 3, "d": 2, "q": [
+            [0, 1, -1e308], [1, 2, -1e308], [0, 0, -1e308]]})
+        code, out, err = run(capsys, "solve", "--input", path, "--method", method,
+                             "--tau", "1e-10")
+        assert code == 1 and out == ""
+        assert err == "ERROR numeric-fault: overflow: cost sums leave float range\n"
 
     def test_chain_incompatibility_error(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"kind": "qudo", "n": 5, "d": 2,
@@ -211,10 +222,8 @@ class TestBenchScaling:
         code, _, err = run(capsys, "bench-scaling", "--axis", "n", "--values",
                            "5,8", "--repeats", "1", "--tau", "1e308",
                            "--methods", method)
-        assert code == 1 and err.startswith("ERROR numeric-fault: ")
+        assert code == 1 and err.startswith("ERROR numeric-fault: overflow: ")
         assert "Warning" not in err
-        if method != "dense":  # dense cannot tell overflow from underflow
-            assert err.startswith("ERROR numeric-fault: overflow: ")
 
 
 class TestWaterfallProb:
@@ -263,6 +272,9 @@ TAUS = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"),
 
 
 @settings(max_examples=100, deadline=None)
+# the restart rounds compound tau to inf on this instance's zero-cost prefix
+@example(tau=1.157920892373162e+77, lo=1.0, hi=2.0, count=2, repeats=1,
+         factor=1.157920892373162e+77, command="restart")
 @given(tau=TAUS, lo=TAUS, hi=TAUS, count=st.integers(-1, 4),
        repeats=st.integers(-2, 2), factor=TAUS,
        command=st.sampled_from(["solve", "grid", "restart", "bench-scaling",

@@ -7,7 +7,6 @@ acceptance criteria 1, 3, 6 and 8 (with fewer instances).
 """
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from qudotn import (NumericFaultError, Problem, chain_view, random_instance,
@@ -16,6 +15,7 @@ from qudotn import (NumericFaultError, Problem, chain_view, random_instance,
 from qudotn.cli import main as cli_main
 from qudotn.driver import solve_instance
 from qudotn.tn_core import SolverConfig, tau_grid_values
+from qudotn.waterfall import _waterfall_pass
 
 GRID = (0.1, 500.0, 100)
 
@@ -64,7 +64,8 @@ def test_dense_grid_criterion_1_seeds(idx):
     n, d = 2 + idx % 9, 2 + idx % 2
     p = random_instance("qudo", n, d, max(n - 1, 1), seed=1000 + idx,
                         lin_enabled=True)
-    assert_same_winner(p, SolverConfig(tau_grid=GRID), solve_dense, may_skip=True)
+    # dense sums exponents as the chain kernels do, so no point underflows
+    assert_same_winner(p, SolverConfig(tau_grid=GRID), solve_dense)
 
 
 @pytest.mark.parametrize("idx", range(0, 200, 20))
@@ -100,16 +101,28 @@ def test_waterfall_grid_with_restarts(seed, factor):
         assert ref.stats.restarts >= 1
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_grid_keep_trace_marginals(seed):
-    p = random_instance("qudo", 12, 3, 2, seed=seed, lin_enabled=True)
-    ch = chain_view(p, 2)
-    cfg = SolverConfig(tau_grid=(0.5, 100.0, 15), keep_trace=True)
-    ref, res = assert_same_waterfall(ch, cfg)
-    matrix = solve_matrix(ch, cfg)
-    for a, b, c in zip(ref.marginals, res.marginals, matrix.marginals):
-        assert a.entries.tobytes() == b.entries.tobytes()
-        assert np.max(np.abs(b.entries - c.entries)) <= 1e-12
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_every_waterfall_point_is_matrix(d):
+    """Every point of a batched waterfall pass, not only the winner, sets
+    the assignment that solve_matrix gives at that tau alone."""
+    p = random_instance("qudo", 200, d, 1, seed=6000 + 100 * d, lin_enabled=True)
+    ch = chain_view(p, 1)
+    taus = tau_grid_values((0.1, 500.0, 25))
+    out = _waterfall_pass(ch, SolverConfig(), taus)
+    assert out.faults.messages == [None] * len(taus)
+    assert not out.restart_at.any()
+    for tau, x in zip(taus, out.x):
+        assert x.tolist() == solve_matrix(ch, SolverConfig(tau=float(tau))).assignment
+
+
+def test_restart_tau_overflow_is_a_skipped_point():
+    """A decoupled n = 3 chain restarts twice, so the last round runs at
+    tau * 1e300: finite for tau = 1e-10, inf for tau = 1e10."""
+    ch = chain_view(Problem(kind="qudo", n=3, d=2, quad={}), 1)
+    cfg = SolverConfig(tau_grid=(1e-10, 1e10, 2), restart_factor=1e150)
+    res = solve_waterfall(ch, cfg)
+    assert res.tau == 1e-10 and res.stats.restarts == 2
+    assert res.skipped_taus == [(1e10, "overflow: restart tau leaves float range")]
 
 
 def test_grid_split_into_chunks(monkeypatch):

@@ -141,16 +141,6 @@ class TestSolveWaterfall:
         res = solve_waterfall(chain_view(p, k), _cfg(50.0))
         assert res.stats.peak_tables_held <= n // 2 + k
 
-    def test_keep_trace_marginals_match_matrix(self):
-        p = random_instance("qudo", 9, 2, 2, seed=3, lin_enabled=True)
-        ch = chain_view(p, 2)
-        a = solve_matrix(ch, _cfg(5.0))
-        b = solve_waterfall(ch, _cfg(5.0, keep_trace=True))
-        assert a.assignment == b.assignment
-        assert b.marginals is not None
-        for x, y in zip(a.marginals, b.marginals):
-            assert np.max(np.abs(x.entries - y.entries)) <= 1e-12
-
 
 class TestRestart:
     def test_restart_counts_and_cost(self):
