@@ -25,7 +25,7 @@ every method, the dense solver's included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import add, itemgetter, mul
 
@@ -123,6 +123,14 @@ class ChainFactors:
             self._block[2:4] = np.exp(W, out=W), finite
         return W[..., m - start, :, :] if finite[m - start] else None
 
+    def rescale(self, chain: ChainProblem, m: int, taus: np.ndarray, faults: GridFaults):
+        """Rows 0..m-1 at the grid points' taus, built as a chain of those
+        rows alone: a point whose tau is unchanged keeps the same rows."""
+        prefix = ChainFactors(replace(chain, n=m, diag_cost=chain.diag_cost[:m],
+                                      cross_cost=chain.cross_cost[:m]), taus, faults)
+        self.sc[:, :m], self.cc[:, :m], self.sv[:, :m] = prefix.sc, prefix.cc, prefix.sv
+        self._block = [None] * 5
+
     def weight_lists(self, m: int) -> list | None:
         """weights(m) of a one-point factor as d Python lists, list a holding
         the weights of dropped value a in output state order (see
@@ -160,17 +168,15 @@ class GridFaults:
 
     A kernel that meets a fault on some points records it here and gives
     those points ones in place of their values, so the other points go on.
-    Points in ``frozen`` have left the batch (a pending restart) and record
-    nothing more.
+    A point keeps its first message.
     """
 
     def __init__(self, size: int):
         self.messages: list = [None] * size
         self.mask = np.zeros(size, dtype=bool)
-        self.frozen = np.zeros(size, dtype=bool)
 
     def record(self, g: int, message: str):
-        if self.messages[g] is None and not self.frozen[g]:
+        if self.messages[g] is None:
             self.messages[g] = message
             self.mask[g] = True
 
@@ -243,14 +249,16 @@ class MessageState:
     d: int
 
 
-def _check_chain_capacity(chain: ChainProblem) -> int:
-    """Grid points per batch: as many as fit, message entries summed, under
-    the chain cap.  Raises when one message of d**k entries exceeds it."""
+def _check_chain_capacity(chain: ChainProblem, table: bool = False) -> int:
+    """Grid points per batch: as many as fit under the chain cap, each
+    holding a d**k-entry message, or with table a waterfall row table of up
+    to d**(min(2k, n-1)+1) cells.  Raises when one point's exceeds it."""
     cap = env_cap("QUDOTN_CHAIN_CAP", DEFAULT_CHAIN_CAP)
-    if chain.d ** chain.k > cap:
-        raise CapacityError(
-            f"message size d^k = {chain.d ** chain.k} exceeds chain cap {cap}")
-    return cap // chain.d ** chain.k
+    size = chain.d ** (min(2 * chain.k, chain.n - 1) + 1 if table else chain.k)
+    if size > cap:
+        what = "candidate table size d^(min(2k, n-1)+1)" if table else "message size d^k"
+        raise CapacityError(f"{what} = {size} exceeds chain cap {cap}")
+    return cap // size
 
 
 @lru_cache(maxsize=64)
@@ -272,9 +280,8 @@ def _transfer_scalar(msg: MessageState, m: int, fac: ChainFactors) -> MessageSta
     then runs, with its faults.  The weights lie in [0, 1] and hold an
     exact exp(0) = 1, the entries in (0, 1], so the peak lies in [min
     entry, d] and needs no check."""
-    W = fac.weight_lists(m)
     values = msg.entries.ravel().tolist()
-    if W is None or not min(values) > 0.0:
+    if not min(values) > 0.0 or (W := fac.weight_lists(m)) is None:
         return None
     picks = _scalar_layout(fac.d, fac.k)[1]
     new = list(map(mul, W[0], picks[0](values)))
@@ -307,8 +314,8 @@ def _transfer_flat(msg: MessageState | None, m: int, fac: ChainFactors,
         if new is not None:
             return new
     values = msg.entries[..., None, :]
-    W = fac.weights(m) if L == k else None
-    if W is not None and (values > 0).all():
+    W = fac.weights(m) if L == k and (values > 0).all() else None
+    if W is not None:
         w = W * values  # what _stable_weights gives on this row
     else:
         w = _stable_weights(fac.exponent(m, L), values, (-2, -1), faults)

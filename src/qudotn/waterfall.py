@@ -21,7 +21,6 @@ import numpy as np
 from .chain_solver import (ChainFactors, GridFaults, MessageState,
                            _candidates_flat, _check_chain_capacity, _digits,
                            _transfer_flat, solve_grid)
-from .errors import NumericFaultError
 from .problem import ChainProblem
 from .tn_core import SolverConfig
 
@@ -112,17 +111,14 @@ def _lookup(table: WaterfallTable, x: np.ndarray, m: int) -> np.ndarray:
 
 
 class _Pass:
-    """Per-point outcome of one waterfall pass over a batch of grid points.
-
-    restart_at > 0 marks a point whose prefix 0..restart_at-1 is still to be
-    re-solved; the rest of its row of x is final.
-    """
+    """Per-point outcome of one waterfall pass over a batch of grid points:
+    assignments, cascade events, peak tables held, restarts and faults."""
 
     def __init__(self, G: int, n: int):
         self.x = np.zeros((G, n), dtype=np.intp)
         self.events = np.zeros(G, dtype=int)
         self.peak = np.zeros(G, dtype=int)
-        self.restart_at = np.zeros(G, dtype=int)
+        self.restarts = np.zeros(G, dtype=int)
         self.faults = GridFaults(G)
 
 
@@ -132,26 +128,33 @@ def _waterfall_pass(chain: ChainProblem, cfg: SolverConfig, taus) -> _Pass:
     On a cascade at row m, a point resolves variables m..n-1 and releases its
     tables past row m+k; the tables for rows m..m+k-1 stay so cascade checks
     at earlier rows can still apply the restricted rule.  A table leaves
-    memory once every point that has not faulted released it.  With
-    restart_factor != 1, a point's first cascade at a row m > 0 takes it out
-    of the batch to have its prefix re-solved.  Row 0's table has a single
-    entry, so every point still live there cascades and is resolved.
+    memory once every point that has not faulted released it.  Row 0's
+    table has a single entry, so every point still live there cascades and
+    is resolved.
+
+    With restart_factor != 1, a cascade at a row m > 0 restarts the point on
+    the prefix 0..m-1: its tau is multiplied by the factor (once per
+    cascade) for the rows below m, and its message B_m becomes the one-hot
+    of its resolved values, which folds them into rows m-k..m-1 as fixed
+    boundary values.  The prefix then solves as a chain of its own that
+    ends at row m, within the same pass, so the point holds no table past m.
     """
     d, k, n = chain.d, chain.k, chain.n
     out = _Pass(len(taus), n)
     x, faults = out.x, out.faults
     fac = ChainFactors(chain, taus, faults)
+    taus = np.array(taus, dtype=float)  # each point's tau, rescaled per restart
     resolved_from = np.full(len(taus), n)  # rows resolved_from.. of x are final
-    live = np.ones(len(taus), dtype=bool)  # neither faulted nor out for a restart
+    reach = k if cfg.restart_factor == 1.0 else 0  # tables held past that suffix
     tables: dict = {}
     msg: MessageState | None = None  # becomes B_{m+1} at iteration m
     for m in range(n - 1, -1, -1):
         tables[m] = candidate_table(msg, chain, m, cfg, fac, faults=faults)
-        live &= ~faults.mask
-        # a point holds rows m.. up to k past its resolved suffix
-        held = np.minimum(resolved_from + k, n) - m
+        live = ~faults.mask
+        held = np.minimum(resolved_from + reach, n) - m  # rows m.. that a point holds
         np.maximum(out.peak, held, out=out.peak, where=live)
-        vals = check_cascade([tables[r] for r in range(m, min(m + k, n))], d, k)
+        # tables a restarted point released but others hold pass on its pinned values
+        vals = check_cascade([tables[r] for r in range(m, m + k) if r in tables], d, k)
         fired = live & (vals[:, 0] >= 0)
         if fired.any():
             out.events += fired
@@ -160,86 +163,49 @@ def _waterfall_pass(chain: ChainProblem, cfg: SolverConfig, taus) -> _Pass:
                 v = vals[:, off] if off < vals.shape[1] else _lookup(tables[r], x, r)
                 x[:, r] = np.where(fired & (r < resolved_from), v, x[:, r])
             resolved_from[fired] = m
-            release = (resolved_from[~faults.mask] + k).max(initial=0)
+            release = (resolved_from[~faults.mask] + reach).max(initial=0)
             for r in [r for r in tables if r >= release]:
                 del tables[r]
-            if cfg.restart_factor != 1.0 and m > 0:
-                out.restart_at[fired] = m
-                faults.frozen |= fired
-                live &= ~fired
-        if not live.any():
+        if not live.any() or m == 0:
             break
-        if m > 0:
+        restart = fired & (cfg.restart_factor != 1.0)
+        if msg is None or (live & ~restart).any():
+            if msg is not None:
+                msg.entries[restart] = 1.0  # no fault from a transfer it discards
             msg = _transfer_flat(msg, m, fac, chain, faults)
+        else:  # every live point restarts and discards row m's transfer
+            msg = MessageState(np.ones((len(taus), d ** min(k, n - m))), m, min(k, n - m), d)
+        if restart.any():
+            taus[restart] *= cfg.restart_factor
+            faults.flag(restart & (taus == np.inf), "overflow: restart tau leaves float range")
+            # a faulted point's rows take unit factors, as at tau = 0
+            fac.rescale(chain, m, np.where(faults.mask, 0.0, taus), faults)
+            restart &= ~faults.mask
+            pinned = x[restart, m:m + msg.length] @ d ** np.arange(msg.length)
+            msg.entries[restart] = np.arange(d ** msg.length) == pinned[:, None]
+            out.restarts += restart
     return out
-
-
-def _fold_prefix(chain: ChainProblem, x: np.ndarray, m: int) -> ChainProblem:
-    """Variables 0..m-1 with the resolved values x[m:] folded into the local
-    costs of the variables that interact with them."""
-    k = chain.k
-    diag = chain.diag_cost[:m].copy()
-    cross = chain.cross_cost[:m].copy()
-    for l in range(max(0, m - k), m):
-        for j in range(1, k + 1):
-            tgt = l + j
-            if m <= tgt <= chain.n - 1:
-                diag[l] += chain.cross_cost[l, j - 1][:, x[tgt]]
-                cross[l, j - 1] = 0.0
-    return ChainProblem(problem=None, k=k, n=m, d=chain.d,
-                        diag_cost=diag, cross_cost=cross)
-
-
-def _restart(chain: ChainProblem, cfg: SolverConfig, out: _Pass, g: int, tau: float):
-    """Re-solve the prefix of grid point g until no cascade asks for another
-    restart.  Each round solves variables 0..m-1, with the boundary folded in,
-    as a one-point pass at tau times the restart factor, and fills x[:m].
-    Returns the number of rounds.  The factor compounds per round: a tau
-    that reaches inf is a numeric fault, one that reaches 0 solves on."""
-    x = out.x[g]
-    m = int(out.restart_at[g])
-    rounds = 0
-    while m > 0:
-        chain = _fold_prefix(chain, x, m)
-        tau = tau * cfg.restart_factor
-        if tau == np.inf:
-            raise NumericFaultError("overflow: restart tau leaves float range")
-        sub = _waterfall_pass(chain, cfg, np.array([tau]))
-        if sub.faults.messages[0] is not None:
-            raise NumericFaultError(sub.faults.messages[0])
-        x[:m] = sub.x[0]
-        out.events[g] += sub.events[0]
-        out.peak[g] = max(out.peak[g], sub.peak[0])
-        rounds += 1
-        m = int(sub.restart_at[0])
-    return rounds
 
 
 def solve_waterfall(chain: ChainProblem, cfg: SolverConfig) -> WaterfallResult:
     """Backward pass keeping only candidate tables; forward pass is lookup.
 
-    With restart_factor != 1, a cascade also re-solves the remaining prefix
-    as a smaller subproblem under the rescaled tau, absorbing the known
-    boundary values into the local costs, and again after each cascade of
-    that subproblem.  With cfg.tau_grid set, one pass serves the whole grid
-    and the best point wins (see solve_grid); its stats are returned.
+    With restart_factor != 1, each cascade at a row m > 0 re-solves the
+    remaining prefix at the rescaled tau, with the resolved values as its
+    boundary, in the same pass (see _waterfall_pass).  With cfg.tau_grid
+    set, one pass serves the whole grid and the best point wins (see
+    solve_grid); its stats are returned.  A batch holds as many points as
+    their largest row tables fit under the chain cap.
     """
     def solve_batch(taus):
         out = _waterfall_pass(chain, cfg, taus)
-        restarts = np.zeros(len(taus), dtype=int)
-        for g in np.flatnonzero(out.restart_at):
-            try:
-                restarts[g] = _restart(chain, cfg, out, g, taus[g])
-            except NumericFaultError as exc:
-                out.faults.messages[g] = str(exc)
 
         def finish(g, cost):
-            x = out.x[g].tolist()
             events = int(out.events[g])
             stats = WaterfallStats(uniform_events=events, w_prob=events / chain.n,
                                    peak_tables_held=int(out.peak[g]),
-                                   restarts=int(restarts[g]))
-            return WaterfallResult(assignment=x, cost=cost, stats=stats)
+                                   restarts=int(out.restarts[g]))
+            return WaterfallResult(assignment=out.x[g].tolist(), cost=cost, stats=stats)
         return out.x, out.faults.messages, finish
 
-    return solve_grid(chain.problem, cfg, _check_chain_capacity(chain), solve_batch)
+    return solve_grid(chain.problem, cfg, _check_chain_capacity(chain, table=True), solve_batch)

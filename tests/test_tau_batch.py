@@ -5,6 +5,7 @@ per grid point, faulted points skipped, the lowest cost kept and ties left to
 the smallest tau.  A batched solve must give the same winner on the seeds of
 acceptance criteria 1, 3, 6 and 8 (with fewer instances).
 """
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -101,6 +102,29 @@ def test_waterfall_grid_with_restarts(seed, factor):
         assert ref.stats.restarts >= 1
 
 
+# criterion-6 winners with restarts: (d, factor, sha256 of the assignment's
+# str, cost, tau, restarts, uniform_events), recorded from the per-point
+# restart loop that the in-pass restarts replaced
+RESTART_WINNERS = [
+    (2, 0.5, "75cbf1c5fac1b9f2", -33.83576689492559, 44.956932393565204, 186, 187),
+    (2, 2.0, "e9753eddea484744", -87.17208791328085, 0.1, 156, 157),
+    (4, 0.5, "ff8e19efe8a6dfaa", -293.57820034644516, 53.397796576085156, 155, 156),
+    (4, 2.0, "290989b325fbb947", -612.0199782876231, 0.10898414799852864, 136, 137),
+    (6, 0.5, "2d91f23a39ee5e03", -793.9395431337331, 137.568817325154, 155, 156),
+    (6, 2.0, "da441705df65d6ef", -1518.8569802286577, 0.1, 130, 131),
+]
+
+
+@pytest.mark.parametrize("d,factor,digest,cost,tau,restarts,events", RESTART_WINNERS)
+def test_restart_winners_are_pinned(d, factor, digest, cost, tau, restarts, events):
+    """A change to the restart rule shows up here as a changed winner."""
+    p = random_instance("qudo", 200, d, 1, seed=6000 + 100 * d, lin_enabled=True)
+    res = solve_waterfall(chain_view(p, 1), SolverConfig(tau_grid=GRID, restart_factor=factor))
+    assert hashlib.sha256(str(res.assignment).encode()).hexdigest()[:16] == digest
+    assert (repr(res.cost), res.tau) == (repr(cost), tau)
+    assert (res.stats.restarts, res.stats.uniform_events) == (restarts, events)
+
+
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_every_waterfall_point_is_matrix(d):
     """Every point of a batched waterfall pass, not only the winner, sets
@@ -110,7 +134,7 @@ def test_every_waterfall_point_is_matrix(d):
     taus = tau_grid_values((0.1, 500.0, 25))
     out = _waterfall_pass(ch, SolverConfig(), taus)
     assert out.faults.messages == [None] * len(taus)
-    assert not out.restart_at.any()
+    assert not out.restarts.any()
     for tau, x in zip(taus, out.x):
         assert x.tolist() == solve_matrix(ch, SolverConfig(tau=float(tau))).assignment
 
@@ -134,9 +158,12 @@ def test_grid_split_into_chunks(monkeypatch):
     monkeypatch.setenv("QUDOTN_CHAIN_CAP", str(4 * 3 ** 2))  # 4 points a batch
     monkeypatch.setenv("QUDOTN_DENSE_CAP", str(4 * 3 ** 7))  # and 4 for dense
     assert_same_winner(ch, cfg, solve_matrix)
-    assert_same_waterfall(ch, cfg)
     assert_same_winner(dense, cfg, solve_dense, may_skip=True)
-    chunked = [solve_matrix(ch, cfg), solve_waterfall(ch, cfg), solve_dense(dense, cfg)]
+    chunked = [solve_matrix(ch, cfg), None, solve_dense(dense, cfg)]
+    # a waterfall point holds row tables of up to d^(2k+1) cells
+    monkeypatch.setenv("QUDOTN_CHAIN_CAP", str(4 * 3 ** 5))  # 4 points a batch
+    assert_same_waterfall(ch, cfg)
+    chunked[1] = solve_waterfall(ch, cfg)
     for a, b in zip(whole, chunked):
         assert (a.assignment, a.cost, a.tau) == (b.assignment, b.cost, b.tau)
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qudotn import (
+    CapacityError,
     Problem,
     WaterfallStats,
     WaterfallTable,
@@ -161,3 +162,13 @@ class TestRestart:
         a = solve_matrix(ch, _cfg(10.0))
         b = solve_waterfall(ch, _cfg(10.0, restart_factor=1.0))
         assert a.assignment == b.assignment
+
+
+def test_candidate_tables_bounded_by_chain_cap(monkeypatch):
+    """A row table of d^(2k+1) = 128 cells exceeds a cap of 64 that admits
+    the d^k = 8-entry message of the matrix method."""
+    ch = chain_view(random_instance("qudo", 12, 2, 3, seed=4), 3)
+    monkeypatch.setenv("QUDOTN_CHAIN_CAP", "64")
+    with pytest.raises(CapacityError, match="candidate table size"):
+        solve_waterfall(ch, _cfg(5.0))
+    solve_matrix(ch, _cfg(5.0))
