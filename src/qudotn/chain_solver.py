@@ -47,10 +47,10 @@ class ChainFactors:
     Each exponent is shifted by its own minimum so that extreme tau values
     stay inside float range; messages are scale-free anyway.
     sc[m, z] is the local cost exponent of variable m, cc[m, j-1, a, b]
-    that of the interaction between variable m at a and variable m+j at b,
-    and sv = exp(-sc) the local weights.  Every solver sums a row's
-    exponents and exponentiates once (_stable_weights) instead of
-    multiplying factors into the underflow region.
+    that of the interaction between variable m at a and variable m+j at b.
+    Every solver sums a row's exponents and exponentiates once
+    (_stable_weights) instead of multiplying factors into the underflow
+    region.
     An array of G taus gives every table a leading axis of length G.
 
     A tau at which tau * cost leaves float range is a numeric fault: raised
@@ -90,7 +90,6 @@ class ChainFactors:
             self.cc -= t * chain.cross_cost.min(axis=(-2, -1), keepdims=True)
         if over.any():
             self.sc[over] = self.cc[over] = 0.0
-        self.sv = np.exp(-self.sc)
         # leading index that pairs each grid point with its own table rows
         # when rows are picked per point by fancy indexing
         self.points = (np.arange(self.taus.size)[:, None],) if self.taus.ndim else ()
@@ -128,7 +127,7 @@ class ChainFactors:
         rows alone: a point whose tau is unchanged keeps the same rows."""
         prefix = ChainFactors(replace(chain, n=m, diag_cost=chain.diag_cost[:m],
                                       cross_cost=chain.cross_cost[:m]), taus, faults)
-        self.sc[:, :m], self.cc[:, :m], self.sv[:, :m] = prefix.sc, prefix.cc, prefix.sv
+        self.sc[:, :m], self.cc[:, :m] = prefix.sc, prefix.cc
         self._block = [None] * 5
 
     def weight_lists(self, m: int) -> list | None:
@@ -175,17 +174,13 @@ class GridFaults:
         self.messages: list = [None] * size
         self.mask = np.zeros(size, dtype=bool)
 
-    def record(self, g: int, message: str):
-        if self.messages[g] is None:
-            self.messages[g] = message
-            self.mask[g] = True
-
     def flag(self, bad: np.ndarray, message: str) -> np.ndarray:
         """Record message for the points with any True in bad (leading axis
         = grid point); returns the per-point mask."""
         points = bad.reshape(len(self.messages), -1).any(axis=1)
-        for g in np.flatnonzero(points):
-            self.record(g, message)
+        for g in np.flatnonzero(points & ~self.mask):
+            self.messages[g] = message
+        self.mask |= points
         return points
 
 
@@ -295,7 +290,8 @@ def _transfer_flat(msg: MessageState | None, m: int, fac: ChainFactors,
                    faults: GridFaults | None = None) -> MessageState:
     """One sparse transfer step: message with origin m+1 -> origin m, scaled
     to a largest entry of 1.  Without a message, m is the last variable and
-    its message is its local factor.
+    its message is its local factor exp(-sc[m]), whose largest entry is
+    exp(0) = 1 already.
 
     Each new state prepends a value z for variable m; the weight multiplies
     the local factor of m and its crosses into the state variables.  When the
@@ -306,7 +302,7 @@ def _transfer_flat(msg: MessageState | None, m: int, fac: ChainFactors,
     """
     d, k, n = chain.d, chain.k, chain.n
     if msg is None:
-        return MessageState(_normalize_msg(fac.sv[..., m, :], m, faults), m, 1, d)
+        return MessageState(np.exp(-fac.sc[..., m, :]), m, 1, d)
     L = msg.length
     full = L == k and m + k <= n - 1
     if full and fac.taus.size == 1 and d ** (k + 1) <= SCALAR_CELLS:
@@ -326,24 +322,7 @@ def _transfer_flat(msg: MessageState | None, m: int, fac: ChainFactors,
     else:
         new_len = L + 1
     new = np.swapaxes(w, -1, -2).reshape(w.shape[:-2] + (-1,))
-    return MessageState(_normalize_msg(new, m, faults), m, new_len, d)
-
-
-def _normalize_msg(arr: np.ndarray, row: int, faults: GridFaults | None = None,
-                   axis=-1) -> np.ndarray:
-    try:
-        return normalize(arr, axis=axis)[0]
-    except NumericFaultError as exc:
-        if faults is None:
-            raise NumericFaultError(f"row {row}: {exc}") from exc
-    arr = arr.copy()
-    for g, vec in enumerate(arr):
-        try:
-            normalize(vec)
-        except NumericFaultError as exc:
-            faults.record(g, f"row {row}: {exc}")
-            arr[g] = 1.0
-    return normalize(arr, axis=axis)[0]
+    return MessageState(normalize(new, axis=-1)[0], m, new_len, d)
 
 
 def backward_pass_matrix(chain: ChainProblem, cfg: SolverConfig,
@@ -375,7 +354,7 @@ def transfer_operator_dense(chain: ChainProblem, m: int, tau: float) -> np.ndarr
     if not (1 <= m and m + k <= n - 1):
         raise ValueError("dense transfer operator is defined for interior rows")
     fac = ChainFactors(chain, tau)
-    cf = np.exp(-fac.cc[m])
+    sv, cf = np.exp(-fac.sc[m]), np.exp(-fac.cc[m])
     size = d ** k
     op = np.zeros((size, size))
     digs = _digits(d, k)
@@ -384,7 +363,7 @@ def transfer_operator_dense(chain: ChainProblem, m: int, tau: float) -> np.ndarr
         shared = s // d  # (a_1..a_{k-1})
         for ak in range(d):
             sp = shared + ak * d ** (k - 1)
-            wgt = fac.sv[m][z]
+            wgt = sv[z]
             for j in range(1, k + 1):
                 wgt *= cf[j - 1][z, digs[j - 1][sp]]
             op[s, sp] = wgt
@@ -546,7 +525,7 @@ def solve_matrix(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:
                     continue
             for r in range(m, stop):
                 vec = marginal_matrix(chain, fac, r, by_origin.get(r + 1), x, faults)
-                vec = _normalize_msg(vec, r, faults)
+                vec = normalize(vec, axis=-1)[0]
                 margs.append(vec)
                 x[:, r] = argmax_extract(vec)
             m = stop
@@ -573,10 +552,10 @@ def _forward_block(chain: ChainProblem, fac: ChainFactors, rows: slice,
     try:
         cand = _candidates_flat(chain, fac, rows, MessageState(entries, rows.start + 1, k, d),
                                 _digits(d, k))
-        cand = normalize(cand, axis=-1)[0]
-        best = argmax_extract(cand)
     except NumericFaultError:
         return None
+    cand = normalize(cand, axis=-1)[0]
+    best = argmax_extract(cand)
     # successor[g][r][t]: row r+1's combination when row r's is t.  The walk
     # is one list lookup per row and point, cheaper on Python ints than as
     # numpy calls on G entries

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_solver import (ChainFactors, ChainSolveResult, GridFaults,
-                           _chain_finish, _normalize_msg, _stable_weights, solve_grid)
+                           _chain_finish, _stable_weights, solve_grid)
 from .errors import CapacityError, env_cap
 from .problem import Problem, chain_view
-from .tn_core import MarginalVector, SolverConfig, argmax_extract
+from .tn_core import MarginalVector, SolverConfig, argmax_extract, normalize
 # unused here; still bound because the benchmark's layer probes rebind them
 from .problem import evaluate_cost  # noqa: F401
-from .tn_core import cross_cost, normalize, self_cost  # noqa: F401
+from .tn_core import cross_cost, self_cost  # noqa: F401
 
 DEFAULT_DENSE_CAP = 32768  # max boundary-tensor elements, d**(n-1)
 
@@ -141,7 +141,7 @@ def _absorb_row_sparse(bound: np.ndarray, m: int, base: int, fac: ChainFactors,
         expo = expo + f.reshape((G,) + (1,) * (l - base) + (d,) + (1,) * (m - l - 1) + (d,))
     axes = tuple(range(1, bound.ndim))
     out = _stable_weights(expo, bound, axes, faults).sum(axis=-1)
-    return _normalize_msg(out, m, faults, axis=axes[:-1])
+    return normalize(out, axis=axes[:-1])[0]
 
 
 def _row_local_marginal(vec: np.ndarray, i: int, fac: ChainFactors,
@@ -149,7 +149,7 @@ def _row_local_marginal(vec: np.ndarray, i: int, fac: ChainFactors,
     """Row i's own exponents at each point's fixed prefix x[:, :i], weighted
     onto vec, scaled to a largest entry of 1."""
     expo = fac.sc[:, i] + _prefix_rows(fac, i, x[:, :i])
-    return _normalize_msg(_stable_weights(expo, vec, -1, faults), i, faults)
+    return normalize(_stable_weights(expo, vec, -1, faults), axis=-1)[0]
 
 
 def contract_marginal(net: StairNetwork, i: int, fixed) -> MarginalVector:

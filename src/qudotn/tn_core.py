@@ -182,8 +182,8 @@ def normalize(v, axis=None):
 
     With an axis, each slice along it is divided by its own maximum (a stack
     of messages, one per tau grid point).  Raises a numeric fault for an
-    all-zero or non-finite slice, which is how solvers surface
-    underflow/overflow instead of silently degrading.
+    all-zero or non-finite slice, which no solver array is: each keeps its
+    exponent shift's positive entry at weight 1, none above (_stable_weights).
     """
     arr = _entries(v)
     if arr.size == 0:

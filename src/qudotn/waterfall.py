@@ -170,8 +170,8 @@ def _waterfall_pass(chain: ChainProblem, cfg: SolverConfig, taus) -> _Pass:
             break
         restart = fired & (cfg.restart_factor != 1.0)
         if msg is None or (live & ~restart).any():
-            if msg is not None:
-                msg.entries[restart] = 1.0  # no fault from a transfer it discards
+            # a point fires only if row m's table had a finite shift for every
+            # predecessor, so the transfer it discards has one too: no fault
             msg = _transfer_flat(msg, m, fac, chain, faults)
         else:  # every live point restarts and discards row m's transfer
             msg = MessageState(np.ones((len(taus), d ** min(k, n - m))), m, min(k, n - m), d)

@@ -23,10 +23,10 @@ from qudotn import chain_solver
 from qudotn.chain_solver import (BLOCK_CELLS, ROW_BLOCK, ChainFactors, GridFaults,
                                  MessageState, _candidates_flat,
                                  _chain_finish, _check_chain_capacity,
-                                 _normalize_msg, _stable_weights, _transfer_flat,
+                                 _stable_weights, _transfer_flat,
                                  marginal_matrix, solve_grid)
 from qudotn.dense_solver import build_stair
-from qudotn.tn_core import SolverConfig, argmax_extract
+from qudotn.tn_core import SolverConfig, argmax_extract, normalize
 from qudotn.waterfall import solve_waterfall
 from test_tau_batch import _overflowing_instance
 
@@ -252,7 +252,7 @@ def _transfer_ref(msg, m, fac, chain, faults):
     if L == k and m + k <= chain.n - 1:
         w = w.reshape(w.shape[:-1] + (d, d ** (k - 1))).sum(axis=-2)
     new = np.swapaxes(w, -1, -2).reshape(w.shape[:-2] + (-1,))
-    return _normalize_msg(new, m, faults)
+    return normalize(new, axis=-1)[0]
 
 
 def _candidates_ref(chain, fac, m, msg, tdig, faults):
@@ -371,7 +371,7 @@ class TestRowTables:
         largest, total = [], []
 
         def held(fac):
-            base = {id(fac.taus), id(fac.sc), id(fac.cc), id(fac.sv)}
+            base = {id(fac.taus), id(fac.sc), id(fac.cc)}
             stack = [v for key, v in vars(fac).items() if key not in ("cf", "points")]
             sizes = []
             while stack:
@@ -475,25 +475,28 @@ class TestScalarTransfer:
 
 
 class TestScalarRoute:
-    """Which backward rows go through numpy's _normalize_msg."""
+    """Which backward rows go through numpy rather than _transfer_scalar."""
 
     @pytest.fixture
     def rows(self, monkeypatch):
-        """The rows a backward pass sends to _normalize_msg."""
-        seen = []
-        original = chain_solver._normalize_msg
+        """The rows of a backward pass, last first, that _transfer_scalar
+        did not return a message for."""
+        scalar = set()
+        original = chain_solver._transfer_scalar
 
-        def counted(arr, row, *args, **kwargs):
-            seen.append(row)
-            return original(arr, row, *args, **kwargs)
+        def counted(msg, m, fac):
+            new = original(msg, m, fac)
+            if new is not None:
+                scalar.add(m)
+            return new
 
-        monkeypatch.setattr(chain_solver, "_normalize_msg", counted)
+        monkeypatch.setattr(chain_solver, "_transfer_scalar", counted)
 
         def run(ch, taus):
-            seen.clear()
+            scalar.clear()
             faults = GridFaults(len(taus))
             backward_pass_matrix(ch, _cfg(1.0), ChainFactors(ch, taus, faults), faults)
-            return list(seen)
+            return [m for m in range(ch.n - 1, 0, -1) if m not in scalar]
         return run
 
     def test_long_chain_takes_the_scalar_route(self, rows):
@@ -525,7 +528,7 @@ class TestScalarRoute:
 
 def _per_variable_batch(chain, cfg, seen):
     """solve_matrix's batch with every variable taken one at a time, as
-    marginal_matrix, then _normalize_msg, then argmax_extract; appends each
+    marginal_matrix, then normalize, then argmax_extract; appends each
     batch's (x, marginals) to seen."""
     def solve_batch(taus):
         faults = GridFaults(len(taus))
@@ -536,7 +539,7 @@ def _per_variable_batch(chain, cfg, seen):
         margs = []
         for m in range(chain.n):
             vec = marginal_matrix(chain, fac, m, by_origin.get(m + 1), x, faults)
-            vec = _normalize_msg(vec, m, faults)
+            vec = normalize(vec, axis=-1)[0]
             margs.append(vec)
             x[:, m] = argmax_extract(vec)
         seen.append((x, margs))

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qudotn import ConfigError, SolverConfig, parse_instance, solve_instance
+from qudotn import (ConfigError, SolverConfig, parse_instance, serialize_instance,
+                    solve_instance)
 from qudotn.cli import COMPARE_COLUMNS, main, relative_error
+from qudotn.tn_core import tau_grid_values
+from test_tau_batch import _overflowing_instance
 
 
 def run(capsys, *argv):
@@ -24,6 +27,8 @@ def write_instance(tmp_path, doc):
 
 EXAMPLE = {"kind": "qudo", "n": 3, "d": 2,
            "q": [[0, 1, -1.0], [1, 2, 1.0]]}
+# an instance on which matrix at tau = 0.05 misses the optimum
+GENERATE = ("generate", "--n", "8", "--d", "3", "--k", "2", "--seed", "4", "--lin")
 
 
 class TestGenerate:
@@ -36,6 +41,13 @@ class TestGenerate:
                              "--output", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stdout_without_output(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        code, out, _ = run(capsys, *GENERATE)
+        assert code == 0
+        assert run(capsys, *GENERATE, "--output", str(path))[0] == 0
+        assert out == path.read_text()
 
     def test_n_zero_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "--n", "0")
@@ -73,6 +85,22 @@ class TestSolve:
         lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
         assert float(lines["cost"]) == -1.0
         assert "tau" in lines
+
+    def test_skipped_tau_lines(self, tmp_path, capsys):
+        """One skipped_tau line per grid point whose tau * cost overflows
+        (tau > ~180 here), in grid order; the winner is not among them."""
+        path = tmp_path / "overflow.json"
+        path.write_text(serialize_instance(_overflowing_instance()))
+        code, out, _ = run(capsys, "solve", "--input", str(path), "--method",
+                           "matrix", "--tau-grid", "0.1,500,12")
+        assert code == 0
+        lines = out.splitlines()
+        skipped = [line.split(" ", 2)[1:] for line in lines if line.startswith("skipped_tau ")]
+        taus = [float(t) for t in tau_grid_values((0.1, 500.0, 12))]
+        assert [float(tau) for tau, _ in skipped] == [t for t in taus if t > 180.0]
+        assert all(message.startswith("overflow:") for _, message in skipped)
+        winner = float(next(line.split()[1] for line in lines if line.startswith("tau ")))
+        assert winner in taus and winner not in [float(tau) for tau, _ in skipped]
 
     def test_dense_capacity_error(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -176,6 +204,20 @@ class TestCompare:
         wf = dict(zip(COMPARE_COLUMNS, rows[3]))
         assert wf["method"] == "waterfall" and wf["w_prob"] != ""
 
+    def test_best_of_reference_on_stdout(self, tmp_path, capsys):
+        """Without --output the CSV goes to stdout.  best-of measures every
+        method against the lowest cost found, here brute force's."""
+        path = tmp_path / "inst.json"
+        path.write_text(run(capsys, *GENERATE)[1])
+        code, out, _ = run(capsys, "compare", "--input", str(path), "--methods",
+                           "matrix,brute", "--reference", "best-of", "--tau", "0.05")
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == COMPARE_COLUMNS
+        errors = {row[5]: float(dict(zip(COMPARE_COLUMNS, row))["relative_error"])
+                  for row in rows[1:]}
+        assert errors["brute"] == 0.0 and errors["matrix"] > 0.0
+
     def test_deterministic_modulo_wall_time(self, tmp_path, capsys):
         path = write_instance(tmp_path, EXAMPLE)
         outputs = []
@@ -250,6 +292,19 @@ class TestWaterfallProb:
         assert code == 0
         rows = list(csv.reader(out_csv.read_text().splitlines()))
         assert 0.0 <= float(rows[1][3]) <= 1.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--input", "inst.json", "--method", "matrix", "--tau-grid", "1,2"],
+     "argument --tau-grid: expected MIN,MAX,COUNT"),
+    (["waterfall-prob", "--d-range", "2,x"],
+     "argument --d-range: invalid literal for int() with base 10: 'x'"),
+])
+def test_malformed_list_flag_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(": error: " + message)
 
 
 # ---------------------------------------------------------------------------

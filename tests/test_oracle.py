@@ -110,3 +110,16 @@ class TestDirectMarginal:
                 continue
             vec = np.asarray(direct_marginal(p, 0, {}, tau=50.0))
             assert int(np.argmax(vec)) == res.best[0]
+
+
+@pytest.mark.parametrize("i, fixed, cap, error, message", [
+    (3, {}, None, ValueError, "variable index 3 out of range"),
+    (-1, {}, None, ValueError, "variable index -1 out of range"),
+    (1, {0: 1, 1: 0}, None, ValueError, "target variable 1 must not be fixed"),
+    (0, {}, 4, CapacityError, "8 states exceed enumeration cap 4"),
+])
+def test_direct_marginal_input_errors(i, fixed, cap, error, message):
+    p = random_instance("qudo", 3, 2, 1, seed=0)
+    with pytest.raises(error) as exc:
+        direct_marginal(p, i, fixed, 1.0, cap=cap)
+    assert type(exc.value) is error and str(exc.value) == message

@@ -273,3 +273,29 @@ class TestTqudoEmbedding:
             a = evaluate_cost(p, x)
             b = evaluate_cost(t, x)
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Problem(kind="qubit", n=2, d=2), ValueError, "unknown problem kind 'qubit'"),
+    (lambda: Problem(kind="tqudo", n=2, d=2, qhat={(0, 1, 0, 2): 1.0}), ValueError,
+     "value index out of range in qhat key (0, 1, 0, 2)"),
+    (lambda: Problem(kind="qudo", n=2, d=2, lin={2: 1.0}), ValueError,
+     "lin index 2 out of range"),
+    (lambda: chain_view(random_instance("qudo", 4, 2, 1, seed=0), 0), ValueError,
+     "k must be >= 1"),
+    (lambda: random_instance("qubit", 4, 2, 1, seed=0), ValueError,
+     "unknown problem kind 'qubit'"),
+    (lambda: random_instance("qudo", 4, 2, 0, seed=0), ValueError, "need 1 <= k < n"),
+    (lambda: random_instance("qudo", 4, 2, 4, seed=0), ValueError, "need 1 <= k < n"),
+    (lambda: random_instance("qubo", 4, 2, 1, seed=0, lin_enabled=True), ValueError,
+     "the linear term only exists for qudo"),
+    (lambda: random_instance("tqudo", 4, 2, 1, seed=0, lin_enabled=True), ValueError,
+     "the linear term only exists for qudo"),
+    (lambda: parse_instance('[{"kind": "qudo", "n": 2, "d": 2}]'), InstanceFormatError,
+     "instance document must be a JSON object"),
+])
+def test_input_errors(make, error, message):
+    """Each rejected input raises its own type, with its own message."""
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -8,6 +8,7 @@ acceptance criteria 1, 3, 6 and 8 (with fewer instances).
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qudotn import (NumericFaultError, Problem, chain_view, random_instance,
@@ -213,6 +214,51 @@ def test_unfaulted_grid_skips_nothing():
     p = random_instance("qudo", 10, 2, 1, seed=1)
     out = solve_instance(p, "waterfall", SolverConfig(tau_grid=(0.1, 500.0, 8)))
     assert out.skipped_taus == []
+
+
+def _extreme_chain(rng, wall: bool):
+    """A small random T-QUDO chain with three costs replaced by +-10**e, e
+    in 0..307.  With wall, some row m also costs -+1e306 at 0 and 1 and its
+    crosses to m+1 +-1e306 from 0 and 1, so that for tau in about (90, 180)
+    no state of row m has a finite shifted exponent."""
+    n, d, k = int(rng.integers(4, 9)), int(rng.integers(2, 4)), int(rng.integers(1, 3))
+    qhat = dict(to_tqudo(random_instance("qudo", n, d, k, seed=int(rng.integers(1 << 30)),
+                                         lin_enabled=True)).qhat)
+    keys = list(qhat)
+    for i in rng.choice(len(keys), size=3, replace=False):
+        qhat[keys[i]] = float(rng.choice([-1.0, 1.0]) * 10.0 ** int(rng.integers(0, 308)))
+    if wall:
+        m = int(rng.integers(0, n - 1))
+        qhat[(m, m, 0, 0)], qhat[(m, m, 1, 1)] = -1e306, 1e306
+        for b in range(d):
+            qhat[(m, m + 1, 0, b)], qhat[(m, m + 1, 1, b)] = 1e306, -1e306
+    return Problem(kind="tqudo", n=n, d=d, qhat=qhat), k
+
+
+def test_numeric_faults_come_from_exponents_only():
+    """Every numeric fault a solve meets, skipped grid point or raised
+    error, is an overflow of an exponent or of a cost sum: normalising a
+    message, a boundary or a marginal never faults."""
+    rng = np.random.default_rng(17)
+    solved, seen = 0, set()
+    for i in range(40):
+        p, k = _extreme_chain(rng, wall=i % 2 == 1)
+        for cfg in (SolverConfig(tau_grid=(1e-300, 1e300, 9)),
+                    SolverConfig(tau_grid=(0.1, 500.0, 12)),
+                    SolverConfig(tau=float(10.0 ** rng.uniform(-3.0, 4.0))),
+                    SolverConfig(tau_grid=(1e-2, 1e5, 6), restart_factor=2.0),
+                    SolverConfig(tau_grid=(1e-2, 1e5, 6), restart_factor=1e100)):
+            for method in ("matrix", "tensor", "waterfall", "dense"):
+                try:
+                    messages = [m for _, m in solve_instance(p, method, cfg, k=k).skipped_taus]
+                    solved += 1
+                except NumericFaultError as exc:
+                    messages = [str(exc)]
+                assert all(m.startswith("overflow:") for m in messages), messages
+                seen.update(m.split(" (")[0] for m in messages)
+    assert solved > 0
+    assert {"overflow: tau * cost leaves float range",
+            "overflow: tau * cost sums of all weighted states leave float range"} <= seen
 
 
 class TestIterativeRestart:

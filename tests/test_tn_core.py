@@ -185,3 +185,19 @@ class TestSolverConfig:
         assert vals[0] == pytest.approx(0.1) and vals[-1] == pytest.approx(500.0)
         ratios = vals[1:] / vals[:-1]
         assert np.allclose(ratios, ratios[0])
+
+
+@pytest.mark.parametrize("call, error, expected", [
+    (lambda: argmax_extract(np.array([])), ValueError, "empty marginal vector"),
+    (lambda: bit_extract(np.array([1.0]), 0), ValueError, "bit extraction needs d >= 2"),
+    (lambda: tau_grid_values((0.5, 7.0, 1)), None, [0.5]),
+])
+def test_edge_inputs(call, error, expected):
+    """An input error raises its type and message; a one-point grid is its
+    minimum alone."""
+    if error is None:
+        assert call().tolist() == expected
+        return
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == expected
