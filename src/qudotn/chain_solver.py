@@ -25,7 +25,7 @@ every method, the dense solver's included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import add, itemgetter, mul
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericFaultError, env_cap
 from .problem import ChainProblem, Problem, evaluate_cost
-from .tn_core import MarginalVector, SolverConfig, argmax_extract, normalize
+from .tn_core import MarginalVector, SolveOutcome, SolverConfig, argmax_extract, normalize
 
 DEFAULT_CHAIN_CAP = 1 << 20  # max d**k message entries
 ROW_BLOCK = 32  # rows per block of row tables, so they hold O(1) rows in n
@@ -432,24 +432,12 @@ def marginal_matrix(chain: ChainProblem, fac: ChainFactors, m: int,
     return _candidates_flat(chain, fac, m, msg, tdig, faults)[..., 0, :]
 
 
-@dataclass
-class ChainSolveResult:
-    assignment: list
-    cost: float
-    marginals: list = field(default_factory=list)
-    messages_held: int = 0
-    tau: float | None = None
-    skipped_taus: list = field(default_factory=list)
-
-
 def _chain_finish(x: np.ndarray, margs: list, held: int):
-    """finish(g, cost) for solve_grid: grid point g's ChainSolveResult from a
+    """finish(g, cost) for solve_grid: grid point g's SolveOutcome from a
     batch's (G, n) assignments and per-variable (G, d) marginals."""
     def finish(g, cost):
-        return ChainSolveResult(
-            assignment=x[g].tolist(), cost=cost,
-            marginals=[MarginalVector(entries=v[g]) for v in margs],
-            messages_held=held)
+        return SolveOutcome(x[g].tolist(), cost, None, [], held,
+                            [MarginalVector(entries=v[g]) for v in margs])
     return finish
 
 
@@ -494,7 +482,7 @@ def solve_grid(p: Problem, cfg: SolverConfig, size: int, solve_batch):
     return res
 
 
-def solve_matrix(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:
+def solve_matrix(chain: ChainProblem, cfg: SolverConfig) -> SolveOutcome:
     """Transfer-matrix solve: one backward pass, then per-variable argmax.
 
     The forward pass takes the full-window rows a row block at a time when a
@@ -573,7 +561,7 @@ def _forward_block(chain: ChainProblem, fac: ChainFactors, rows: slice,
     return list(cand[realised])
 
 
-def solve_tensor(chain: ChainProblem, cfg: SolverConfig) -> ChainSolveResult:
+def solve_tensor(chain: ChainProblem, cfg: SolverConfig) -> SolveOutcome:
     """Stair-tensor solve: the chain's 4-order tensor network, contracted row
     by row with one open index per state variable.
 

@@ -43,7 +43,10 @@ def _write_rows(path, header, rows):
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    text = out.getvalue()
+    _write_text(path, out.getvalue())
+
+
+def _write_text(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -93,12 +96,7 @@ def _load_instance(path) -> Problem:
 def cmd_generate(args) -> int:
     p = random_instance(args.kind, args.n, args.d, args.k, args.seed,
                         lin_enabled=args.lin)
-    text = serialize_instance(p) + "\n"
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(args.output, serialize_instance(p) + "\n")
     return 0
 
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_solver import (ChainFactors, ChainSolveResult, GridFaults,
-                           _chain_finish, _stable_weights, solve_grid)
+from .chain_solver import (ChainFactors, GridFaults, _chain_finish,
+                           _stable_weights, solve_grid)
 from .errors import CapacityError, env_cap
 from .problem import Problem, chain_view
-from .tn_core import MarginalVector, SolverConfig, argmax_extract, normalize
+from .tn_core import MarginalVector, SolveOutcome, SolverConfig, argmax_extract, normalize
 # unused here; still bound because the benchmark's layer probes rebind them
 from .problem import evaluate_cost  # noqa: F401
 from .tn_core import cross_cost, self_cost  # noqa: F401
@@ -174,7 +174,7 @@ def contract_marginal(net: StairNetwork, i: int, fixed) -> MarginalVector:
     return MarginalVector(entries=vec[0])
 
 
-def solve_dense(p: Problem, cfg: SolverConfig) -> ChainSolveResult:
+def solve_dense(p: Problem, cfg: SolverConfig) -> SolveOutcome:
     """Iteratively determine every variable from its marginal argmax.
 
     One backward sweep stores the boundary tensor left after absorbing the

@@ -36,7 +36,8 @@ class CapacityError(QudotnError):
 
 
 class NumericFaultError(QudotnError):
-    """Normalization hit an all-zero or non-finite vector."""
+    """A cost exponent or cost sum left the float range, or a marginal
+    vector holds NaN."""
 
     code = "numeric-fault"
 

@@ -66,6 +66,11 @@ class Problem:
             if self.lin and not (0 <= min(self.lin) and max(self.lin) < self.n):
                 bad = next(i for i in self.lin if not 0 <= i < self.n)
                 raise ValueError(f"lin index {bad} out of range")
+        for name in ("quad", "lin", "qhat"):
+            coeffs = getattr(self, name)
+            if not all(map(math.isfinite, coeffs.values())):
+                bad = next(key for key, v in coeffs.items() if not math.isfinite(v))
+                raise ValueError(f"non-finite coefficient in {name} at {bad}: {coeffs[bad]}")
 
     def _check_pairs(self, keys):
         if not keys:
@@ -291,8 +296,6 @@ def parse_instance(text: str) -> Problem:
             values = list(map(float, columns[arity]))
         except OverflowError as exc:  # an integer literal beyond float range
             raise InstanceFormatError(f"coefficient out of range in {name}: {exc}") from exc
-        if not all(map(math.isfinite, values)):
-            raise InstanceFormatError(f"non-finite coefficient in {name}")
         keys = list(zip(*columns[:arity]))
         entries = dict(zip(keys, values))
         if len(entries) != len(keys):

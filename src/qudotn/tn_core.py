@@ -10,11 +10,11 @@ scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericFaultError
+from .errors import CapacityError, NumericFaultError
 from .problem import Problem
 
 @dataclass
@@ -52,7 +52,10 @@ def tau_grid_values(grid) -> np.ndarray:
     lo, hi, count = grid
     if count == 1:
         return np.array([float(lo)])
-    return np.geomspace(lo, hi, int(count))
+    try:
+        return np.geomspace(lo, hi, int(count))
+    except MemoryError as exc:
+        raise CapacityError(f"tau grid of {count} points does not fit in memory") from exc
 
 
 @dataclass
@@ -60,6 +63,32 @@ class MarginalVector:
     """The d-entry vector whose argmax selects a variable's value."""
 
     entries: np.ndarray
+
+
+@dataclass
+class SolveOutcome:
+    """One method's answer, the record every solver returns.
+
+    With a tau grid, tau is the winning grid point and skipped_taus lists
+    the (tau, message) pairs of the points that faulted numerically (brute
+    force has neither).  peak_memory_proxy counts the messages held (chain
+    and dense methods) or the peak tables held (waterfall).  marginals are
+    the per-variable vectors whose argmax fixed each value (chain and dense
+    methods); stats are the waterfall's.
+    """
+
+    assignment: list
+    cost: float
+    tau: float | None
+    skipped_taus: list
+    peak_memory_proxy: int
+    marginals: list = field(default_factory=list)
+    stats: object = None
+
+    @property
+    def messages_held(self) -> int:
+        """peak_memory_proxy, by the name the chain methods' readers use."""
+        return self.peak_memory_proxy
 
 
 def _entries(v) -> np.ndarray:

@@ -14,7 +14,7 @@ resolved values and table release are kept per grid point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .chain_solver import (ChainFactors, GridFaults, MessageState,
                            _candidates_flat, _check_chain_capacity, _digits,
                            _transfer_flat, solve_grid)
 from .problem import ChainProblem
-from .tn_core import SolverConfig
+from .tn_core import SolveOutcome, SolverConfig
 
 
 @dataclass
@@ -47,15 +47,6 @@ class WaterfallStats:
     w_prob: float = 0.0
     peak_tables_held: int = 0
     restarts: int = 0
-
-
-@dataclass
-class WaterfallResult:
-    assignment: list
-    cost: float
-    stats: WaterfallStats = field(default_factory=WaterfallStats)
-    tau: float | None = None
-    skipped_taus: list = field(default_factory=list)
 
 
 def candidate_table(message: MessageState | None, chain: ChainProblem, m: int,
@@ -187,7 +178,7 @@ def _waterfall_pass(chain: ChainProblem, cfg: SolverConfig, taus) -> _Pass:
     return out
 
 
-def solve_waterfall(chain: ChainProblem, cfg: SolverConfig) -> WaterfallResult:
+def solve_waterfall(chain: ChainProblem, cfg: SolverConfig) -> SolveOutcome:
     """Backward pass keeping only candidate tables; forward pass is lookup.
 
     With restart_factor != 1, each cascade at a row m > 0 re-solves the
@@ -205,7 +196,8 @@ def solve_waterfall(chain: ChainProblem, cfg: SolverConfig) -> WaterfallResult:
             stats = WaterfallStats(uniform_events=events, w_prob=events / chain.n,
                                    peak_tables_held=int(out.peak[g]),
                                    restarts=int(out.restarts[g]))
-            return WaterfallResult(assignment=out.x[g].tolist(), cost=cost, stats=stats)
+            return SolveOutcome(out.x[g].tolist(), cost, None, [], stats.peak_tables_held,
+                                stats=stats)
         return out.x, out.faults.messages, finish
 
     return solve_grid(chain.problem, cfg, _check_chain_capacity(chain, table=True), solve_batch)

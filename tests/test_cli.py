@@ -111,6 +111,15 @@ class TestSolve:
         assert code == 1
         assert err.startswith("ERROR capacity:")
 
+    def test_tau_grid_too_large_capacity_error(self, tmp_path, capsys):
+        """numpy refuses the 7 PiB grid at once, so nothing is allocated."""
+        path = write_instance(tmp_path, EXAMPLE)
+        code, out, err = run(capsys, "solve", "--input", path, "--method", "matrix",
+                             "--tau-grid", "1,2,1000000000000000")
+        assert code == 1 and out == ""
+        assert err == ("ERROR capacity: tau grid of 1000000000000000 points "
+                       "does not fit in memory\n")
+
     @pytest.mark.parametrize("flags", [
         ("--tau", "nan"), ("--tau", "inf"), ("--tau=-inf",), ("--tau", "0"),
         ("--tau-grid", "0.1,inf,5"), ("--tau-grid", "nan,500,5"),

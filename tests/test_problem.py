@@ -281,6 +281,12 @@ class TestTqudoEmbedding:
      "value index out of range in qhat key (0, 1, 0, 2)"),
     (lambda: Problem(kind="qudo", n=2, d=2, lin={2: 1.0}), ValueError,
      "lin index 2 out of range"),
+    (lambda: Problem(kind="qudo", n=3, d=2, quad={(0, 1): math.nan}), ValueError,
+     "non-finite coefficient in quad at (0, 1): nan"),
+    (lambda: Problem(kind="qudo", n=3, d=2, lin={2: -math.inf}), ValueError,
+     "non-finite coefficient in lin at 2: -inf"),
+    (lambda: Problem(kind="tqudo", n=3, d=2, qhat={(1, 2, 0, 1): math.inf}), ValueError,
+     "non-finite coefficient in qhat at (1, 2, 0, 1): inf"),
     (lambda: chain_view(random_instance("qudo", 4, 2, 1, seed=0), 0), ValueError,
      "k must be >= 1"),
     (lambda: random_instance("qubit", 4, 2, 1, seed=0), ValueError,

@@ -176,6 +176,28 @@ def test_driver_reports_winning_tau_once_per_grid():
     assert len({(tuple(o.assignment), o.cost, o.tau) for o in outs}) == 1
 
 
+@pytest.mark.parametrize("method", ["matrix", "tensor", "waterfall", "dense"])
+def test_driver_returns_the_solvers_record(method):
+    """solve_instance hands back the solver's own record: the chain and dense
+    methods' marginals and messages held, the waterfall's stats."""
+    p = random_instance("qudo", 9, 3, 2, seed=5, lin_enabled=True)
+    cfg = SolverConfig(tau_grid=(0.1, 500.0, 12))
+    solve = {"matrix": solve_matrix, "tensor": solve_tensor,
+             "waterfall": solve_waterfall, "dense": solve_dense}[method]
+    ref = solve(p if method == "dense" else chain_view(p, 2), cfg)
+    out = solve_instance(p, method, cfg)
+    assert (out.assignment, out.cost, out.tau, out.skipped_taus) == (
+        ref.assignment, ref.cost, ref.tau, ref.skipped_taus)
+    if method == "waterfall":
+        assert out.stats == ref.stats
+        assert out.peak_memory_proxy == ref.stats.peak_tables_held
+    else:
+        assert len(out.marginals) == p.n
+        assert ([v.entries.tobytes() for v in out.marginals]
+                == [v.entries.tobytes() for v in ref.marginals])
+        assert out.peak_memory_proxy == ref.messages_held
+
+
 def test_unknown_method_fails_before_any_work():
     p = random_instance("qudo", 6, 2, 5, seed=1)  # k=1 would not fit its band
     with pytest.raises(ValueError, match="unknown method"):
